@@ -14,7 +14,10 @@ import (
 // to a mounted PFS path (stagingd -tier-dir). Object names are
 // slash-separated keys mapped onto files below the root; writes go
 // through a temp file + rename so a crashed writer never leaves a
-// half-written object visible under its final name.
+// half-written object visible under its final name. Write fsyncs the
+// file before the rename and the parent directory after it, and Rename
+// fsyncs the parent directory, so a completed call survives an OS
+// crash, not just the death of the process.
 type DirStore struct {
 	mu   sync.Mutex
 	root string
@@ -47,14 +50,44 @@ func (d *DirStore) Write(name string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, dst); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(filepath.Dir(dst))
+}
+
+// writeSynced writes data to a new file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs a directory so the entries renamed into it are durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Read returns the object stored under name.
@@ -72,7 +105,10 @@ func (d *DirStore) Rename(old, new string) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
-	return os.Rename(d.path(old), dst)
+	if err := os.Rename(d.path(old), dst); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(dst))
 }
 
 // List returns the sorted names of all objects starting with prefix.

@@ -1,10 +1,10 @@
 package staging
 
 import (
-	"errors"
 	"strconv"
 	"time"
 
+	"gospaces/internal/store"
 	"gospaces/internal/tier"
 )
 
@@ -76,28 +76,19 @@ func (s *Server) maybeSpill(incoming int64) {
 	}
 }
 
-// spillVersion demotes one (name, version): every logged object is
-// durably committed to the tier before the RAM copy is dropped, so a
-// crash at any point leaves the version either resident or spilled —
-// never half-moved. Reports whether anything was demoted.
+// spillVersion demotes one (name, version): its logged objects are
+// group-committed to the tier in one batch before the RAM copy is
+// dropped, so a crash at any point leaves the version either resident
+// or spilled — never half-moved. Reports whether anything was demoted.
 func (s *Server) spillVersion(name string, version int64) bool {
 	start := time.Now()
-	objs := s.store.VersionObjects(name, version)
-	spilled := false
-	for _, o := range objs {
-		if !o.Logged || o.Data == nil {
-			continue
+	var batch []*store.Object
+	for _, o := range s.store.VersionObjects(name, version) {
+		if o.Logged && o.Data != nil {
+			batch = append(batch, o)
 		}
-		if err := s.tier.Spill(o); err != nil {
-			var de *tier.DegradedError
-			if errors.As(err, &de) {
-				return spilled
-			}
-			continue
-		}
-		spilled = true
 	}
-	if !spilled {
+	if len(batch) == 0 || s.tier.Spill(batch...) != nil {
 		return false
 	}
 	freed := s.store.DropVersion(name, version)

@@ -2,6 +2,7 @@ package staging
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"gospaces/internal/domain"
@@ -177,5 +178,113 @@ func TestWlogInstallResetsTier(t *testing.T) {
 	}
 	if srv.tier.HasName("field") {
 		t.Fatal("tier survived a wlog install; stale spilled versions would shadow the restored state")
+	}
+}
+
+// dyingBackend drops every backend mutation from the failAt-th Write on
+// (0 = never): the PFS target dies partway through a spill, and not
+// even the rollback's deletes reach it.
+type dyingBackend struct {
+	*pfs.Store
+	writes, failAt int
+}
+
+func (d *dyingBackend) dead() bool { return d.failAt > 0 && d.writes >= d.failAt }
+
+func (d *dyingBackend) Write(name string, data []byte) error {
+	d.writes++
+	if d.dead() {
+		return errors.New("injected backend fault")
+	}
+	return d.Store.Write(name, data)
+}
+
+func (d *dyingBackend) Rename(old, new string) error {
+	if d.dead() {
+		return errors.New("injected backend fault")
+	}
+	return d.Store.Rename(old, new)
+}
+
+func (d *dyingBackend) Delete(name string) {
+	if !d.dead() {
+		d.Store.Delete(name)
+	}
+}
+
+// TestTierSpillVersionAtomic spills a version staged as many objects
+// and kills the backend at each write of that spill in turn: nothing of
+// the version is committed to the tier, all of it stays resident and
+// reads back byte-exact, and a reattach collects the orphaned records.
+func TestTierSpillVersionAtomic(t *testing.T) {
+	const budget = 12000 // spill water 7200: the second half of v2 spills v1
+	type result struct {
+		st       tier.Stats
+		resident int // objects of v1 in RAM after the puts
+		be       *dyingBackend
+		v1       []byte
+	}
+	run := func(failAt int) result {
+		be := &dyingBackend{Store: pfs.NewStore(), failAt: failAt}
+		g, err := StartGroup(transport.NewInProc(), "stage", Config{
+			Global:                domain.Box3(0, 0, 0, 63, 63, 0),
+			NServers:              1,
+			Bits:                  2,
+			ElemSize:              1,
+			MemoryBudgetPerServer: budget,
+			TierBackend:           func(int) tier.Backend { return be },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		prod, err := g.NewClient("sim/0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prod.Close()
+		halves := []domain.BBox{domain.Box3(0, 0, 0, 31, 63, 0), domain.Box3(32, 0, 0, 63, 63, 0)}
+		for v := int64(1); v <= 2; v++ {
+			for i, box := range halves {
+				if err := prod.PutWithLog("field", v, box, fill(2048, 10*v+int64(i))); err != nil {
+					t.Fatalf("put v%d/%d: %v", v, i, err)
+				}
+			}
+		}
+		srv := g.Server(0)
+		r := result{st: srv.tier.Stats(), resident: len(srv.store.VersionObjects("field", 1)), be: be}
+		if r.v1, _, err = prod.GetWithLog("field", 1, g.Config().Global); err != nil {
+			t.Fatalf("get v1: %v", err)
+		}
+		return r
+	}
+	ok := run(0)
+	objs := int(ok.st.Spills)
+	if objs < 2 || ok.st.Entries != objs || ok.resident != 0 {
+		t.Fatalf("fault-free run did not spill v1 as one multi-object batch: %+v, %d resident", ok.st, ok.resident)
+	}
+	if ok.be.writes < 2*objs+2 {
+		t.Fatalf("fault-free spill made %d backend writes for %d objects", ok.be.writes, objs)
+	}
+	for k := 1; k <= 2*objs+2; k++ {
+		r := run(k)
+		if r.st.Entries != 0 || r.st.Spills != 0 || !r.st.Degraded {
+			t.Fatalf("k=%d: failed spill left tier state %+v", k, r.st)
+		}
+		if r.resident != objs {
+			t.Fatalf("k=%d: %d of %d objects of v1 still resident", k, r.resident, objs)
+		}
+		if !bytes.Equal(r.v1, ok.v1) {
+			t.Fatalf("k=%d: v1 diverged after the failed spill", k)
+		}
+		// Reattach sees none of the version, with its orphans collected.
+		// Only a fault at the final marker write differs: the renamed
+		// generation is then the only manifest, so the whole version is
+		// committed on disk while RAM still holds it — duplicated, never
+		// half-moved.
+		n := tier.New(r.be.Store, "0").Stats().Entries
+		if (n != 0 && (n != objs || k != 2*objs+2)) || len(r.be.List("tier/0/o/")) != 2*n {
+			t.Fatalf("k=%d: reattach indexed %d entries over records %v", k, n, r.be.List("tier/0/o/"))
+		}
 	}
 }

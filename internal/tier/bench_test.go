@@ -6,22 +6,24 @@ import (
 	"gospaces/internal/pfs"
 )
 
-// BenchmarkSpillPromote cycles one 64 KiB logged object through the
-// full cold-tier round trip — twin-generation CRC'd records, manifest
-// commit, promote, reclaim — the unit of work a spilling put or a
-// replay read of a spilled version pays.
+// BenchmarkSpillPromote cycles one version of 32 logged 16 KiB
+// objects through the full cold-tier round trip — twin-generation CRC'd
+// records, one group manifest commit, promote, reclaim — the unit of
+// work a spilling put or a replay read of a spilled version pays.
 func BenchmarkSpillPromote(b *testing.B) {
 	tr := New(pfs.NewStore(), "0")
-	o := obj("sim/f", 1, 64<<10)
-	b.SetBytes(int64(len(o.Data)))
+	objs := versionObjs("sim/f", 1, 32, 16<<10)
+	b.SetBytes(int64(len(objs)) * 16 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Version = int64(i + 1)
-		if err := tr.Spill(o); err != nil {
+		for _, o := range objs {
+			o.Version = int64(i + 1)
+		}
+		if err := tr.Spill(objs...); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tr.Promote(o.Name, o.Version); err != nil {
-			b.Fatal(err)
+		if got, err := tr.Promote("sim/f", int64(i+1)); err != nil || len(got) != len(objs) {
+			b.Fatalf("promote: %v, %d objects", err, len(got))
 		}
 	}
 }

@@ -7,12 +7,18 @@
 // spilled object is sealed with the same record framing
 // (ckpt.SealRecord) and written in two generations, so a single torn
 // write or bit flip never loses the record. The set of spilled entries
-// lives in a manifest committed by write-temp + rename + marker flip:
-// a spill is visible only after its manifest commit, and the caller
-// drops the RAM copy only after that, so a crash mid-spill never
-// leaves a version half-moved — it is either still resident or
-// durably in the tier. Records not reachable from the committed
+// lives in a manifest committed by write-temp + rename + marker flip.
+// Spills are group-committed: one Spill writes the records of every
+// object of a version, then commits the manifest once. The caller drops
+// the RAM copy only after that commit, so a crash mid-spill never
+// leaves a version half-moved. Records not reachable from the committed
 // manifest are orphans and are garbage-collected on attach.
+//
+// pfs.DirStore fsyncs each write and rename, so every step is durable.
+// Bodies are binary (internal/codec): a record is an entry header then
+// the raw payload; a manifest is a format byte, the next key and the
+// entry headers. A CRC-valid manifest that does not decode degrades the
+// tier with ErrManifestFormat and keeps every record.
 //
 // When the backend fails (ENOSPC, I/O errors) the tier degrades to
 // RAM-only mode: spills return the typed *DegradedError and the
@@ -24,14 +30,15 @@
 package tier
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"sync"
 
 	"gospaces/internal/ckpt"
+	"gospaces/internal/codec"
 	"gospaces/internal/domain"
 	"gospaces/internal/store"
 )
@@ -65,6 +72,14 @@ func (e *DegradedError) Unwrap() error { return e.Cause }
 // ErrTierDegraded is the bare degraded sentinel (no specific cause).
 var ErrTierDegraded = &DegradedError{}
 
+// ErrManifestFormat is the degradation cause when a manifest passes
+// its CRC but does not decode (a foreign or older format). The tier
+// keeps every record and stays degraded; Scrub does not re-arm it.
+var ErrManifestFormat = errors.New("tier: unreadable manifest format")
+
+// manifestFormat is the first byte of every manifest body.
+const manifestFormat byte = 1
+
 // Entry is one spilled object record in the manifest.
 type Entry struct {
 	Key      uint64 // record id; records live at <prefix>o/<key>/g{0,1}
@@ -76,20 +91,73 @@ type Entry struct {
 	Bytes    int64
 }
 
-// recBody is the gob body sealed inside a spill record.
-type recBody struct {
-	Name     string
-	Version  int64
-	BBox     domain.BBox
-	ElemSize int
-	CRC      uint32
-	Data     []byte
+func appendEntry(buf []byte, e *Entry) []byte {
+	buf = codec.AppendUvarint(buf, e.Key)
+	buf = codec.AppendString(buf, e.Name)
+	buf = codec.AppendVarint(buf, e.Version)
+	buf = e.BBox.AppendBinary(buf)
+	buf = codec.AppendUvarint(buf, uint64(e.ElemSize))
+	buf = codec.AppendUvarint(buf, uint64(e.CRC))
+	return codec.AppendVarint(buf, e.Bytes)
 }
 
-// manifest is the gob body sealed inside the manifest record.
-type manifest struct {
-	NextKey uint64
-	Entries []Entry
+func decodeEntry(r *codec.Reader) (e Entry, err error) {
+	e.Key, e.Name, e.Version = r.Uvarint(), r.String(), r.Varint()
+	e.BBox, err = domain.DecodeBBox(r)
+	e.ElemSize = r.Int()
+	crc := r.Uvarint()
+	e.Bytes = r.Varint()
+	if err != nil || r.Err() != nil || crc > math.MaxUint32 || e.Bytes < 0 {
+		return Entry{}, codec.ErrCorrupt
+	}
+	e.CRC = uint32(crc)
+	return e, nil
+}
+
+// appendManifest encodes a manifest body.
+func appendManifest(buf []byte, nextKey uint64, entries []*Entry) []byte {
+	buf = append(buf, manifestFormat)
+	buf = codec.AppendUvarint(buf, nextKey)
+	buf = codec.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = appendEntry(buf, e)
+	}
+	return buf
+}
+
+// decodeManifest parses a body written by appendManifest. A count
+// larger than the remaining bytes is rejected before any allocation.
+func decodeManifest(body []byte) (nextKey uint64, entries []Entry, err error) {
+	if len(body) == 0 || body[0] != manifestFormat {
+		return 0, nil, errors.New("unknown format byte")
+	}
+	r := codec.NewReader(body[1:])
+	nextKey = r.Uvarint()
+	n := r.Uvarint()
+	if r.Err() != nil || n > uint64(r.Len()) {
+		return 0, nil, codec.ErrCorrupt
+	}
+	entries = make([]Entry, n)
+	for i := range entries {
+		if entries[i], err = decodeEntry(r); err != nil {
+			return 0, nil, err
+		}
+	}
+	if r.Len() != 0 {
+		return 0, nil, codec.ErrCorrupt
+	}
+	return nextKey, entries, nil
+}
+
+// decodeRecord splits a spill record body into its entry header and
+// payload. The payload aliases body.
+func decodeRecord(body []byte) (Entry, []byte, error) {
+	r := codec.NewReader(body)
+	e, err := decodeEntry(r)
+	if data := r.Rest(); err == nil && int64(len(data)) == e.Bytes {
+		return e, data, nil
+	}
+	return Entry{}, nil, codec.ErrCorrupt
 }
 
 // Stats is a point-in-time tier counter snapshot.
@@ -164,11 +232,10 @@ func (t *Tier) manTmp() string        { return t.prefix + "manifest.tmp" }
 // load recovers manifest state on attach. Caller is the constructor;
 // no lock needed yet.
 func (t *Tier) load() {
-	var man manifest
-	found := false
-	order := []int{0, 1}
+	order, marker := []int{0, 1}, -1
 	if cur, ok := t.be.Read(t.manCur()); ok && len(cur) == 1 && cur[0] <= 1 {
-		order = []int{int(cur[0]), 1 - int(cur[0])}
+		marker = int(cur[0])
+		order = []int{marker, 1 - marker}
 	}
 	var seqs [2]uint64
 	var bodies [2][]byte
@@ -180,30 +247,34 @@ func (t *Tier) load() {
 	}
 	if !valid[order[0]] && valid[order[1]] {
 		order[0], order[1] = order[1], order[0]
-	} else if valid[0] && valid[1] && seqs[order[1]] > seqs[order[0]] && t.mgenFromMarker() < 0 {
+	} else if valid[0] && valid[1] && seqs[order[1]] > seqs[order[0]] && marker < 0 {
 		order[0], order[1] = order[1], order[0]
 	}
+	var entries []Entry
+	var decodeErr error
 	for _, g := range order {
 		if !valid[g] {
 			continue
 		}
-		if err := gob.NewDecoder(bytes.NewReader(bodies[g])).Decode(&man); err != nil {
+		nextKey, es, err := decodeManifest(bodies[g])
+		if err != nil {
+			decodeErr = err
 			continue
 		}
-		t.mseq = seqs[g]
-		t.mgen = g
-		found = true
+		t.nextKey, entries, t.mseq, t.mgen = nextKey, es, seqs[g], g
 		break
 	}
+	if t.mgen < 0 && decodeErr != nil {
+		// A sealed manifest exists but cannot be read: keep every
+		// record rather than collect them all as orphans.
+		t.degrade(fmt.Errorf("%w: %w", ErrManifestFormat, decodeErr))
+		return
+	}
 	live := make(map[string]bool)
-	if found {
-		t.nextKey = man.NextKey
-		for i := range man.Entries {
-			e := man.Entries[i]
-			t.index(&e)
-			live[t.recKey(e.Key, 0)] = true
-			live[t.recKey(e.Key, 1)] = true
-		}
+	for i := range entries {
+		t.index(&entries[i])
+		live[t.recKey(entries[i].Key, 0)] = true
+		live[t.recKey(entries[i].Key, 1)] = true
 	}
 	// Orphan GC: records the committed manifest doesn't reach were
 	// abandoned mid-spill (or mid-promote) by a crash.
@@ -213,14 +284,6 @@ func (t *Tier) load() {
 		}
 	}
 	t.be.Delete(t.manTmp())
-}
-
-func (t *Tier) mgenFromMarker() int {
-	cur, ok := t.be.Read(t.manCur())
-	if !ok || len(cur) != 1 || cur[0] > 1 {
-		return -1
-	}
-	return int(cur[0])
 }
 
 func (t *Tier) index(e *Entry) {
@@ -260,26 +323,13 @@ func (t *Tier) unindex(e *Entry) {
 // temp name, rename into the non-committed generation, flip the
 // marker. Caller holds t.mu.
 func (t *Tier) commitManifest() error {
-	var man manifest
-	man.NextKey = t.nextKey
-	for _, vers := range t.byName {
-		for _, list := range vers {
-			for _, e := range list {
-				man.Entries = append(man.Entries, *e)
-			}
-		}
-	}
-	sort.Slice(man.Entries, func(i, j int) bool { return man.Entries[i].Key < man.Entries[j].Key })
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&man); err != nil {
-		return fmt.Errorf("tier: manifest encode: %w", err)
-	}
+	body := appendManifest(nil, t.nextKey, t.sorted())
 	t.mseq++
 	target := 0
 	if t.mgen == 0 {
 		target = 1
 	}
-	if err := t.be.Write(t.manTmp(), ckpt.SealRecord(t.mseq, buf.Bytes())); err != nil {
+	if err := t.be.Write(t.manTmp(), ckpt.SealRecord(t.mseq, body)); err != nil {
 		t.mseq--
 		return err
 	}
@@ -297,6 +347,18 @@ func (t *Tier) commitManifest() error {
 	return nil
 }
 
+// sorted returns every indexed entry in key order. Caller holds t.mu.
+func (t *Tier) sorted() []*Entry {
+	all := make([]*Entry, 0, t.entries)
+	for _, vers := range t.byName {
+		for _, list := range vers {
+			all = append(all, list...)
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
+	return all
+}
+
 func (t *Tier) degrade(cause error) *DegradedError {
 	t.degraded = true
 	t.degradedCause = cause
@@ -304,57 +366,60 @@ func (t *Tier) degrade(cause error) *DegradedError {
 	return &DegradedError{Cause: cause}
 }
 
-// Spill demotes one resident object into the cold tier. On success the
-// entry is durably committed and the caller may drop the RAM copy. A
-// backend fault degrades the tier and returns *DegradedError.
-func (t *Tier) Spill(o *store.Object) error {
-	if o.Data == nil {
-		return fmt.Errorf("tier: refusing to spill metadata-only object %s@%d", o.Name, o.Version)
+// Spill demotes a batch of resident objects (the logged objects of one
+// version) with a single manifest commit. On success the caller may
+// drop the RAM copies. A backend fault undoes the whole batch, degrades
+// the tier and returns *DegradedError; nothing of it is committed.
+func (t *Tier) Spill(objs ...*store.Object) error {
+	for _, o := range objs {
+		if o.Data == nil {
+			return fmt.Errorf("tier: refusing to spill metadata-only object %s@%d", o.Name, o.Version)
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.degraded {
 		return &DegradedError{Cause: t.degradedCause}
 	}
-	body := recBody{
-		Name:     o.Name,
-		Version:  o.Version,
-		BBox:     o.BBox,
-		ElemSize: o.ElemSize,
-		CRC:      o.CRC,
-		Data:     o.Data,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&body); err != nil {
-		return fmt.Errorf("tier: spill encode: %w", err)
-	}
-	key := t.nextKey
-	t.nextKey++
-	rec := ckpt.SealRecord(key, buf.Bytes())
-	for g := 0; g < 2; g++ {
-		if err := t.be.Write(t.recKey(key, g), rec); err != nil {
-			t.be.Delete(t.recKey(key, 0))
-			return t.degrade(err)
+	batch := make([]*Entry, 0, len(objs))
+	var body []byte
+	var err error
+	for _, o := range objs {
+		e := &Entry{
+			Key:      t.nextKey,
+			Name:     o.Name,
+			Version:  o.Version,
+			BBox:     o.BBox,
+			ElemSize: o.ElemSize,
+			CRC:      o.CRC,
+			Bytes:    int64(len(o.Data)),
+		}
+		t.index(e)
+		batch = append(batch, e)
+		body = append(appendEntry(body[:0], e), o.Data...)
+		rec := ckpt.SealRecord(e.Key, body)
+		for g := 0; g < 2 && err == nil; g++ {
+			err = t.be.Write(t.recKey(e.Key, g), rec)
+		}
+		if err != nil {
+			break
 		}
 	}
-	e := &Entry{
-		Key:      key,
-		Name:     o.Name,
-		Version:  o.Version,
-		BBox:     o.BBox,
-		ElemSize: o.ElemSize,
-		CRC:      o.CRC,
-		Bytes:    int64(len(o.Data)),
+	if err == nil {
+		err = t.commitManifest()
 	}
-	t.index(e)
-	if err := t.commitManifest(); err != nil {
-		t.unindex(e)
-		t.be.Delete(t.recKey(key, 0))
-		t.be.Delete(t.recKey(key, 1))
+	if err != nil {
+		for _, e := range batch {
+			t.unindex(e)
+			t.be.Delete(t.recKey(e.Key, 0))
+			t.be.Delete(t.recKey(e.Key, 1))
+		}
 		return t.degrade(err)
 	}
-	t.spills++
-	t.spillBytes += e.Bytes
+	for _, e := range batch {
+		t.spills++
+		t.spillBytes += e.Bytes
+	}
 	return nil
 }
 
@@ -396,23 +461,21 @@ func (t *Tier) readEntry(e *Entry) (*store.Object, bool) {
 		if !ok || seq != e.Key {
 			continue
 		}
-		var rb recBody
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rb); err != nil {
+		// The payload aliases rec, the backend's own copy.
+		hdr, data, err := decodeRecord(body)
+		if err != nil || hdr.Name != e.Name || hdr.Version != e.Version {
 			continue
 		}
-		if rb.Name != e.Name || rb.Version != e.Version {
-			continue
-		}
-		if crc32.Checksum(rb.Data, crcTable) != rb.CRC {
+		if crc32.Checksum(data, crcTable) != hdr.CRC {
 			continue
 		}
 		return &store.Object{
-			Name:     rb.Name,
-			Version:  rb.Version,
-			BBox:     rb.BBox,
-			ElemSize: rb.ElemSize,
-			Data:     rb.Data,
-			CRC:      rb.CRC,
+			Name:     hdr.Name,
+			Version:  hdr.Version,
+			BBox:     hdr.BBox,
+			ElemSize: hdr.ElemSize,
+			Data:     data,
+			CRC:      hdr.CRC,
 			Logged:   true,
 		}, true
 	}
@@ -530,16 +593,9 @@ func (t *Tier) Scrub() ScrubReport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var rep ScrubReport
-	var all []*Entry
-	for _, vers := range t.byName {
-		for _, list := range vers {
-			all = append(all, list...)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
 	healthy := true
 	var lost []*Entry
-	for _, e := range all {
+	for _, e := range t.sorted() {
 		var good []byte
 		var bad []int
 		for g := 0; g < 2; g++ {
@@ -583,8 +639,10 @@ func (t *Tier) Scrub() ScrubReport {
 			}
 		}
 	}
-	if healthy && t.degraded {
-		// Probe the backend before re-arming.
+	if healthy && t.degraded && !errors.Is(t.degradedCause, ErrManifestFormat) {
+		// Probe the backend before re-arming. An unreadable manifest
+		// is not a backend fault; re-arming would let the next commit
+		// orphan every record it could not read.
 		if err := t.be.Write(t.prefix+"probe", []byte{1}); err == nil {
 			t.be.Delete(t.prefix + "probe")
 			t.degraded = false

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"gospaces/internal/ckpt"
 	"gospaces/internal/domain"
 	"gospaces/internal/pfs"
 	"gospaces/internal/store"
@@ -25,6 +26,16 @@ func obj(name string, version int64, n int) *store.Object {
 		CRC:      crc32.Checksum(data, crcTable),
 		Logged:   true,
 	}
+}
+
+// versionObjs returns the n pieces of one version, side by side on x.
+func versionObjs(name string, version int64, n, size int) []*store.Object {
+	objs := make([]*store.Object, n)
+	for i := range objs {
+		objs[i] = obj(name, version, size)
+		objs[i].BBox = domain.Box3(int64(4*i), 0, 0, int64(4*i+3), 3, 0)
+	}
+	return objs
 }
 
 func TestSpillPromoteRoundTrip(t *testing.T) {
@@ -257,5 +268,119 @@ func TestReset(t *testing.T) {
 	}
 	if err := tr.Spill(obj("sim/f", 5, 32)); err != nil {
 		t.Fatalf("spill after reset: %v", err)
+	}
+}
+
+// A manifest that passes its CRC but is not in this package's format —
+// a foreign body, or a tier written by an older encoding — must not be
+// read as "no manifest": attach degrades with ErrManifestFormat and
+// keeps every record instead of collecting them as orphans.
+func TestUndecodableManifestKeepsRecords(t *testing.T) {
+	be := pfs.NewStore()
+	if err := New(be, "0").Spill(obj("sim/f", 1, 32)); err != nil {
+		t.Fatal(err)
+	}
+	be.Delete("tier/0/manifest/g1")
+	be.Write("tier/0/manifest/g0", ckpt.SealRecord(1, []byte("\x0e\xff\x81foreign manifest body")))
+	be.Write("tier/0/manifest/cur", []byte{0})
+	records := be.List("tier/0/o/")
+	if len(records) != 2 {
+		t.Fatalf("records before attach: %v", records)
+	}
+	tr := New(be, "0")
+	if !tr.Degraded() || tr.Stats().Entries != 0 {
+		t.Fatalf("attach over a foreign manifest: %+v", tr.Stats())
+	}
+	if got := be.List("tier/0/o/"); len(got) != len(records) {
+		t.Fatalf("attach collected records it could not account for: %v", got)
+	}
+	err := tr.Spill(obj("sim/f", 2, 32))
+	var de *DegradedError
+	if !errors.As(err, &de) || !errors.Is(err, ErrManifestFormat) {
+		t.Fatalf("spill over a foreign manifest: %v", err)
+	}
+	// Scrub does not re-arm it: the next commit would orphan the records.
+	tr.Scrub()
+	if !tr.Degraded() || len(be.List("tier/0/o/")) != len(records) {
+		t.Fatal("scrub re-armed a tier whose manifest it cannot read")
+	}
+}
+
+// crashBackend fails the failAt-th Write (0 = never). With crash set,
+// every later mutation is dropped too, even the rollback's deletes: the
+// server died partway through the spill.
+type crashBackend struct {
+	*pfs.Store
+	writes, failAt int
+	crash          bool
+}
+
+var errInjected = errors.New("injected backend fault")
+
+func (c *crashBackend) dead() bool { return c.crash && c.failAt > 0 && c.writes >= c.failAt }
+
+func (c *crashBackend) Write(name string, data []byte) error {
+	c.writes++
+	if c.writes == c.failAt || c.dead() {
+		return errInjected
+	}
+	return c.Store.Write(name, data)
+}
+
+func (c *crashBackend) Rename(old, new string) error {
+	if c.dead() {
+		return errInjected
+	}
+	return c.Store.Rename(old, new)
+}
+
+func (c *crashBackend) Delete(name string) {
+	if !c.dead() {
+		c.Store.Delete(name)
+	}
+}
+
+// A fault at any write of a multi-object spill commits nothing of the
+// batch: every entry is unindexed, a transient fault leaves no record
+// behind, and after a crash the next attach collects the orphans. The
+// previously committed version is untouched either way.
+func TestSpillBatchAtomic(t *testing.T) {
+	const batch = 3
+	writes := 2*batch + 2 // twin records per object, manifest temp, marker
+	for _, crash := range []bool{false, true} {
+		for k := 1; k <= writes; k++ {
+			be := &crashBackend{Store: pfs.NewStore(), crash: crash}
+			tr := New(be, "0")
+			if err := tr.Spill(obj("sim/f", 1, 64)); err != nil {
+				t.Fatal(err)
+			}
+			be.failAt = be.writes + k
+			err := tr.Spill(versionObjs("sim/f", 2, batch, 64)...)
+			if !errors.Is(err, errInjected) || !tr.Degraded() {
+				t.Fatalf("crash=%v k=%d: spill err = %v", crash, k, err)
+			}
+			if tr.Has("sim/f", 2) || tr.Stats().Entries != 1 || tr.Stats().Spills != 1 {
+				t.Fatalf("crash=%v k=%d: failed batch left state: %+v", crash, k, tr.Stats())
+			}
+			if !crash && len(be.List("tier/0/o/")) != 2 {
+				t.Fatalf("k=%d: rollback left records: %v", k, be.List("tier/0/o/"))
+			}
+			re := New(be.Store, "0")
+			if re.Has("sim/f", 2) || !re.Has("sim/f", 1) {
+				t.Fatalf("crash=%v k=%d: reattach versions = %v", crash, k, re.Versions("sim/f"))
+			}
+			if got := be.List("tier/0/o/"); len(got) != 2 {
+				t.Fatalf("crash=%v k=%d: orphans survive reattach: %v", crash, k, got)
+			}
+		}
+	}
+	// Past the last write the same batch commits in one manifest commit.
+	be := &crashBackend{Store: pfs.NewStore()}
+	tr := New(be, "0")
+	if err := tr.Spill(versionObjs("sim/f", 2, batch, 64)...); err != nil || be.writes != writes {
+		t.Fatalf("spill: %v after %d writes, want %d", err, be.writes, writes)
+	}
+	if got := New(be.Store, "0").Stats().Entries; got != batch {
+		t.Fatalf("reattached entries = %d", got)
 	}
 }
