@@ -34,9 +34,11 @@ short:
 # promotion stage, deposed-leader fencing, spare exhaustion, chaos,
 # the tenant-overload soak composing fail-stops with a shed flood, and
 # the storage-fault tier soak tearing, rotting, and ENOSPC-failing the
-# PFS cold tier underneath a spilling, fail-stopping group).
+# PFS cold tier underneath a spilling, fail-stopping group). Runs at
+# GOMAXPROCS 1 and 2: the single-CPU schedule orders the harness's
+# goroutines differently and has exposed losses the 2-CPU one hid.
 nemesis:
-	$(GO) test -race -run 'TestNemesis' -count=1 -timeout 10m ./internal/workflow/
+	$(GO) test -race -run 'TestNemesis' -count=1 -cpu 1,2 -timeout 10m ./internal/workflow/
 
 # Bounded churn-soak gate: replay the checked-in regression traces
 # and the record-vs-replay determinism tests, then run two fresh

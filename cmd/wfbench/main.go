@@ -330,6 +330,15 @@ func nemesisExp() error {
 	return nil
 }
 
+// fastDetector declares a server dead within ~45ms, so the MTTR
+// experiments measure promotion, not detection.
+var fastDetector = health.Config{
+	Period:       5 * time.Millisecond,
+	Timeout:      25 * time.Millisecond,
+	SuspectAfter: 2,
+	DeadAfter:    4,
+}
+
 // nemesisMTTR runs one fail-stop and reports the time from the kill to
 // every slot alive again, plus promotion/takeover counts summed over
 // the redundant supervisors.
@@ -369,15 +378,11 @@ func nemesisMTTR(kill bool) (time.Duration, int64, int64, error) {
 	var killMu sync.Mutex
 	killArmed := kill
 	for i := 0; i < nSups; i++ {
-		i := i
-		id := fmt.Sprintf("wfbench/sup/%d", i)
-		det := health.NewDetector(tr, id, health.Config{
-			Period:       5 * time.Millisecond,
-			Timeout:      25 * time.Millisecond,
-			SuspectAfter: 2,
-			DeadAfter:    4,
-		})
-		cfg := recovery.Config{ID: id, LeaseTTL: 150 * time.Millisecond}
+		cfg := recovery.Config{
+			ID:       fmt.Sprintf("wfbench/sup/%d", i),
+			LeaseTTL: 150 * time.Millisecond,
+			Detector: fastDetector,
+		}
 		// Kill at "intent": the promotion is journaled but nothing is
 		// mutated yet, so the dead slot stays dark until a standby wins
 		// the lease and resumes — the worst-case MTTR path.
@@ -393,7 +398,7 @@ func nemesisMTTR(kill bool) (time.Duration, int64, int64, error) {
 				sups[i].Kill()
 			}
 		}
-		sups[i] = recovery.New(tr, det, g.Membership(), g, cfg)
+		sups[i] = recovery.New(tr, g, cfg)
 		sups[i].Start()
 		defer sups[i].Close()
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gospaces/internal/domain"
-	"gospaces/internal/health"
 	"gospaces/internal/pfs"
 	"gospaces/internal/recovery"
 	"gospaces/internal/staging"
@@ -396,14 +395,10 @@ func tierRecovery(rep *tierReport) error {
 				return err
 			}
 		}
-		det := health.NewDetector(tr, "wfbench/tiersup", health.Config{
-			Period:       5 * time.Millisecond,
-			Timeout:      25 * time.Millisecond,
-			SuspectAfter: 2,
-			DeadAfter:    4,
-		})
-		sup := recovery.New(tr, det, g.Membership(), g, recovery.Config{
-			ID: "wfbench/tiersup", LeaseTTL: 150 * time.Millisecond,
+		sup := recovery.New(tr, g, recovery.Config{
+			ID:       "wfbench/tiersup",
+			LeaseTTL: 150 * time.Millisecond,
+			Detector: fastDetector,
 		})
 		sup.Start()
 		start := time.Now()

@@ -118,7 +118,7 @@ type Injection struct {
 	Offset int
 	// AtOp positions the injection on a logical-operation clock instead
 	// of wall time: the fault fires before the AtOp-th workload
-	// operation. Churn schedules (consumed by the trace-recorded soak,
+	// operation. Plans with HorizonOps (the trace-recorded soak,
 	// internal/workflow.RunSoak) use it so a recorded fault lands at the
 	// same point of the schedule on every replay regardless of machine
 	// speed; wall-clock At is unused in such schedules.
@@ -187,212 +187,97 @@ func Exponential(seed int64, mtbf time.Duration, n int, horizon time.Duration, t
 	return sched, nil
 }
 
-// Chaos draws n network/server faults over horizon, uniformly over
-// time, servers, and the given kinds, with window lengths uniform in
-// [meanFault/2, 3*meanFault/2). The schedule is deterministic for a
-// given seed; feed it to transport.Chaos.Apply to arm the faults.
-func Chaos(seed int64, n int, horizon, meanFault time.Duration, nServers int, kinds ...Kind) (Schedule, error) {
-	// Injections land strictly inside (0, horizon), so the horizon must
-	// leave at least one representable instant between the endpoints
-	// (horizon == 1ns would also make Int63n panic on a zero bound).
-	if horizon <= time.Nanosecond {
-		return nil, fmt.Errorf("failure: horizon %v too short", horizon)
+// Plan describes one seeded fault schedule for Draw: which kinds to
+// inject, on which clock, and against which targets. The fault harnesses
+// differ only in their plans — the chaos transport's network faults,
+// the nemesis soak's blackouts, supervisor kills, storage faults and
+// overload windows, and the churn soak's logical-clock schedules.
+type Plan struct {
+	// N is the number of injections.
+	N int
+	// Kinds are drawn uniformly per injection.
+	Kinds []Kind
+	// Horizon positions injections on the wall clock, uniformly over
+	// (0, Horizon). Ignored when HorizonOps is set.
+	Horizon time.Duration
+	// HorizonOps positions injections on a logical-operation clock
+	// instead (Injection.AtOp uniform in [0, HorizonOps)), so a recorded
+	// schedule re-arms each fault at the same workload position on every
+	// replay regardless of machine speed.
+	HorizonOps int
+	// MeanFault sets window lengths: ServerCrash, NetDelay, NetDrop,
+	// PFSSlowIO and TenantOverload last [MeanFault/2, 3*MeanFault/2).
+	MeanFault time.Duration
+	// Servers and FirstServer bound the target range
+	// [FirstServer, Servers). The churn soak sets FirstServer 1: the lock
+	// server's RPC dedup keys on a per-client sequence a client-level
+	// retry cannot reuse, so faulting slot 0 would make retried lock
+	// acquires ambiguous and the replay nondeterministic.
+	Servers     int
+	FirstServer int
+	// Supervisors is the target range [0, Supervisors) of SupervisorKill.
+	Supervisors int
+}
+
+// Draw generates the schedule plan describes, deterministically for a
+// given seed. Per injection it draws the kind, the position, the target
+// server, then the kind's parameter: a window length, a byte offset in
+// [-1, 255) for torn/partial writes and bit rot (-1 lets the store pick
+// halfway; offsets land anywhere in a small record, including the
+// CRC'd header), or the supervisor a SupervisorKill targets. Fail-stops
+// and ENOSPC are instantaneous. The schedule is sorted by position.
+func Draw(seed int64, p Plan) (Schedule, error) {
+	ops := p.HorizonOps > 0
+	// Wall-clock injections land strictly inside (0, Horizon), so the
+	// horizon must leave at least one representable instant between the
+	// endpoints (1ns would also make Int63n panic on a zero bound).
+	if !ops && p.Horizon <= time.Nanosecond {
+		return nil, fmt.Errorf("failure: horizon %v too short", p.Horizon)
 	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
+	if p.MeanFault <= 0 {
+		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", p.MeanFault)
 	}
-	if nServers <= 0 {
-		return nil, fmt.Errorf("failure: non-positive server count %d", nServers)
+	if len(p.Kinds) == 0 {
+		return nil, fmt.Errorf("failure: plan draws no kinds")
 	}
-	if len(kinds) == 0 {
-		kinds = []Kind{ServerCrash, NetDelay, NetDrop}
+	if p.FirstServer < 0 || p.Servers <= p.FirstServer {
+		return nil, fmt.Errorf("failure: empty server range [%d, %d)", p.FirstServer, p.Servers)
 	}
-	for _, k := range kinds {
-		if k == RankFailStop {
+	for _, k := range p.Kinds {
+		switch {
+		case k == RankFailStop:
 			return nil, fmt.Errorf("failure: rank fail-stops belong in Exponential schedules")
+		case k == SupervisorKill && ops:
+			return nil, fmt.Errorf("failure: %v has no logical-clock semantics", k)
+		case k == SupervisorKill && p.Supervisors <= 0:
+			return nil, fmt.Errorf("failure: %v with %d supervisors", k, p.Supervisors)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		at := time.Duration(rng.Int63n(int64(horizon)-1)) + 1
-		dur := meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-		kind := kinds[rng.Intn(len(kinds))]
-		if kind == ServerFailStop {
-			// Permanent: no recovery horizon.
-			dur = 0
-		}
-		sched = append(sched, Injection{
-			At:       at,
-			Kind:     kind,
-			Server:   rng.Intn(nServers),
-			Duration: dur,
-		})
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-	return sched, nil
-}
-
-// Nemesis draws a recovery-soak schedule: n faults uniformly over
-// (0, horizon) mixing permanent staging-server fail-stops, transient
-// server blackouts of mean length meanFault, and supervisor kills
-// (Server indexes the supervisor for those). It is the generator
-// behind the nemesis harness (internal/workflow.RunNemesis), which
-// concurrently kills supervisors, staging servers, and ranks and then
-// asserts the standing invariants. Deterministic for a given seed.
-func Nemesis(seed int64, n int, horizon, meanFault time.Duration, nServers, nSupervisors int) (Schedule, error) {
-	if horizon <= time.Nanosecond {
-		return nil, fmt.Errorf("failure: horizon %v too short", horizon)
-	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
-	}
-	if nServers <= 0 || nSupervisors <= 0 {
-		return nil, fmt.Errorf("failure: nemesis needs servers (%d) and supervisors (%d)", nServers, nSupervisors)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		at := time.Duration(rng.Int63n(int64(horizon)-1)) + 1
-		switch rng.Intn(3) {
-		case 0:
-			sched = append(sched, Injection{At: at, Kind: ServerFailStop, Server: rng.Intn(nServers)})
-		case 1:
-			dur := meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-			sched = append(sched, Injection{At: at, Kind: ServerCrash, Server: rng.Intn(nServers), Duration: dur})
-		case 2:
-			sched = append(sched, Injection{At: at, Kind: SupervisorKill, Server: rng.Intn(nSupervisors)})
-		}
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-	return sched, nil
-}
-
-// NemesisOverload draws a schedule composing permanent staging-server
-// fail-stops with tenant overload windows of mean length meanFault —
-// the soak for the admission-control layer: recovery promotions must
-// complete, and quotas must hold, while a low-priority tenant floods
-// the group. Deterministic for a given seed.
-func NemesisOverload(seed int64, n int, horizon, meanFault time.Duration, nServers int) (Schedule, error) {
-	if horizon <= time.Nanosecond {
-		return nil, fmt.Errorf("failure: horizon %v too short", horizon)
-	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
-	}
-	if nServers <= 0 {
-		return nil, fmt.Errorf("failure: non-positive server count %d", nServers)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		at := time.Duration(rng.Int63n(int64(horizon)-1)) + 1
-		if rng.Intn(2) == 0 {
-			sched = append(sched, Injection{At: at, Kind: ServerFailStop, Server: rng.Intn(nServers)})
+	sched := make(Schedule, 0, p.N)
+	for i := 0; i < p.N; i++ {
+		inj := Injection{Kind: p.Kinds[rng.Intn(len(p.Kinds))]}
+		if ops {
+			inj.AtOp = rng.Intn(p.HorizonOps)
 		} else {
-			dur := meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-			sched = append(sched, Injection{At: at, Kind: TenantOverload, Duration: dur})
+			inj.At = time.Duration(rng.Int63n(int64(p.Horizon)-1)) + 1
 		}
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-	return sched, nil
-}
-
-// NemesisTier draws the storage-fault soak schedule: n faults uniformly
-// over (0, horizon) mixing permanent staging-server fail-stops, tenant
-// overload windows, and PFS storage faults against the servers' cold
-// tiers — torn and partial writes at random byte offsets, at-rest bit
-// rot, ENOSPC, and slow-I/O windows of mean length meanFault. It is the
-// generator behind TestNemesisTierSoak: promotions must complete and
-// replay must stay byte-exact while spilled records are being corrupted
-// underneath the staging servers. Deterministic for a given seed.
-func NemesisTier(seed int64, n int, horizon, meanFault time.Duration, nServers int) (Schedule, error) {
-	if horizon <= time.Nanosecond {
-		return nil, fmt.Errorf("failure: horizon %v too short", horizon)
-	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
-	}
-	if nServers <= 0 {
-		return nil, fmt.Errorf("failure: non-positive server count %d", nServers)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	storage := []Kind{PFSTornWrite, PFSPartialWrite, PFSBitRot, PFSENOSPC, PFSSlowIO}
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		at := time.Duration(rng.Int63n(int64(horizon)-1)) + 1
-		inj := Injection{At: at, Server: rng.Intn(nServers)}
-		switch rng.Intn(4) {
-		case 0:
-			inj.Kind = ServerFailStop
-		case 1:
-			inj.Kind = TenantOverload
-			inj.Duration = meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-		default: // storage faults at double weight: they are the soak's point
-			inj.Kind = storage[rng.Intn(len(storage))]
-			switch inj.Kind {
-			case PFSSlowIO:
-				inj.Duration = meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
-			case PFSTornWrite, PFSPartialWrite, PFSBitRot:
-				// Offsets land anywhere in a small record, including the
-				// 24-byte CRC'd header; the store clamps overshoots.
-				inj.Offset = rng.Intn(256) - 1 // -1 = store picks halfway
-			}
-		}
-		sched = append(sched, inj)
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-	return sched, nil
-}
-
-// Churn draws the trace-recorded soak schedule: n faults positioned on
-// a logical-operation clock in [0, horizonOps) rather than wall time,
-// so the schedule composes deterministically with a recorded workload
-// — replaying the trace re-arms each fault at the identical schedule
-// position. Kinds are drawn uniformly from the given set (default:
-// fail-stops plus blackouts). Fault targets are drawn from servers
-// 1..nServers-1, never slot 0: the lock server's RPC dedup keys on a
-// per-client sequence that a client-level retry cannot reuse, so
-// faulting slot 0 would make retried lock acquires ambiguous and the
-// replay nondeterministic. Blackouts and slow-I/O windows get Duration
-// in [meanFault/2, 3*meanFault/2); fail-stops are permanent.
-// Deterministic for a given seed.
-func Churn(seed int64, n, horizonOps, nServers int, meanFault time.Duration, kinds ...Kind) (Schedule, error) {
-	if horizonOps <= 0 {
-		return nil, fmt.Errorf("failure: non-positive op horizon %d", horizonOps)
-	}
-	if nServers < 2 {
-		return nil, fmt.Errorf("failure: churn needs at least 2 servers, got %d (slot 0 is never faulted)", nServers)
-	}
-	if meanFault <= 0 {
-		return nil, fmt.Errorf("failure: non-positive mean fault duration %v", meanFault)
-	}
-	if len(kinds) == 0 {
-		kinds = []Kind{ServerFailStop, ServerCrash}
-	}
-	for _, k := range kinds {
-		switch k {
-		case RankFailStop, SupervisorKill:
-			return nil, fmt.Errorf("failure: %v has no logical-clock semantics in a churn schedule", k)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sched := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		inj := Injection{
-			Kind:   kinds[rng.Intn(len(kinds))],
-			AtOp:   rng.Intn(horizonOps),
-			Server: 1 + rng.Intn(nServers-1),
-		}
+		inj.Server = p.FirstServer + rng.Intn(p.Servers-p.FirstServer)
 		switch inj.Kind {
 		case ServerCrash, NetDelay, NetDrop, PFSSlowIO, TenantOverload:
-			inj.Duration = meanFault/2 + time.Duration(rng.Int63n(int64(meanFault)))
+			inj.Duration = p.MeanFault/2 + time.Duration(rng.Int63n(int64(p.MeanFault)))
 		case PFSTornWrite, PFSPartialWrite, PFSBitRot:
 			inj.Offset = rng.Intn(256) - 1
+		case SupervisorKill:
+			inj.Server = rng.Intn(p.Supervisors)
 		}
 		sched = append(sched, inj)
 	}
-	sort.SliceStable(sched, func(i, j int) bool { return sched[i].AtOp < sched[j].AtOp })
+	if ops {
+		sort.SliceStable(sched, func(i, j int) bool { return sched[i].AtOp < sched[j].AtOp })
+	} else {
+		sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
+	}
 	return sched, nil
 }
 

@@ -126,147 +126,147 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestChaosEmitsServerFailStop(t *testing.T) {
-	s, err := Chaos(5, 40, time.Hour, time.Minute, 4, ServerCrash, ServerFailStop)
+// The plan shapes the fault harnesses draw: the chaos transport's
+// network faults, the staging chaos soak, the nemesis soak's three
+// families, and the churn soak's logical-clock mixes.
+var drawPlans = []struct {
+	name string
+	plan Plan
+}{
+	{"chaos-network", Plan{N: 100, Kinds: []Kind{ServerCrash, NetDelay, NetDrop}, Horizon: 10 * time.Second, MeanFault: 200 * time.Millisecond, Servers: 4}},
+	{"chaos-fail-stop", Plan{N: 40, Kinds: []Kind{ServerCrash, ServerFailStop}, Horizon: time.Hour, MeanFault: time.Minute, Servers: 4}},
+	{"nemesis-chaos", Plan{N: 60, Kinds: []Kind{ServerCrash, SupervisorKill}, Horizon: 300 * time.Millisecond, MeanFault: 40 * time.Millisecond, Servers: 4, Supervisors: 2}},
+	{"nemesis-storage", Plan{N: 60, Kinds: []Kind{PFSTornWrite, PFSPartialWrite, PFSBitRot, PFSENOSPC, PFSSlowIO}, Horizon: 300 * time.Millisecond, MeanFault: 40 * time.Millisecond, Servers: 4}},
+	{"nemesis-overload", Plan{N: 20, Kinds: []Kind{TenantOverload}, Horizon: 300 * time.Millisecond, MeanFault: 40 * time.Millisecond, Servers: 4}},
+	{"churn", Plan{N: 60, Kinds: []Kind{ServerFailStop, ServerCrash}, HorizonOps: 100, MeanFault: 40 * time.Millisecond, Servers: 3, FirstServer: 1}},
+	{"churn-tier-overload", Plan{N: 80, Kinds: []Kind{ServerCrash, PFSTornWrite, PFSPartialWrite, PFSENOSPC, PFSSlowIO, TenantOverload}, HorizonOps: 200, MeanFault: 40 * time.Millisecond, Servers: 4, FirstServer: 1}},
+}
+
+// TestDrawPlans checks every harness plan shape: determinism, order and
+// range on the plan's clock, targets inside the plan's range, each
+// kind's parameter, and that every planned kind is drawn.
+func TestDrawPlans(t *testing.T) {
+	for _, c := range drawPlans {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.plan
+			s, err := Draw(21, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s) != p.N {
+				t.Fatalf("%d injections, want %d", len(s), p.N)
+			}
+			again, _ := Draw(21, p)
+			other, _ := Draw(22, p)
+			differs := false
+			for i := range s {
+				if s[i] != again[i] {
+					t.Fatalf("same seed diverged at %d: %+v vs %+v", i, s[i], again[i])
+				}
+				differs = differs || s[i] != other[i]
+			}
+			if !differs {
+				t.Fatal("different seeds drew identical schedules")
+			}
+			planned := map[Kind]bool{}
+			for _, k := range p.Kinds {
+				planned[k] = true
+			}
+			drawn := map[Kind]int{}
+			for i, inj := range s {
+				if p.HorizonOps > 0 {
+					if inj.At != 0 || inj.AtOp < 0 || inj.AtOp >= p.HorizonOps {
+						t.Fatalf("injection %d at %v/op %d outside op horizon %d", i, inj.At, inj.AtOp, p.HorizonOps)
+					}
+					if i > 0 && inj.AtOp < s[i-1].AtOp {
+						t.Fatalf("unsorted by op clock at %d", i)
+					}
+				} else {
+					if inj.AtOp != 0 || inj.At <= 0 || inj.At >= p.Horizon {
+						t.Fatalf("injection %d at %v/op %d outside (0, %v)", i, inj.At, inj.AtOp, p.Horizon)
+					}
+					if i > 0 && inj.At < s[i-1].At {
+						t.Fatalf("unsorted by time at %d", i)
+					}
+				}
+				if !planned[inj.Kind] {
+					t.Fatalf("drew unplanned kind %v", inj.Kind)
+				}
+				drawn[inj.Kind]++
+				lo, hi := p.FirstServer, p.Servers
+				if inj.Kind == SupervisorKill {
+					lo, hi = 0, p.Supervisors
+				}
+				if inj.Server < lo || inj.Server >= hi {
+					t.Fatalf("%v target %d outside [%d, %d)", inj.Kind, inj.Server, lo, hi)
+				}
+				switch inj.Kind {
+				case ServerCrash, NetDelay, NetDrop, PFSSlowIO, TenantOverload:
+					if inj.Duration < p.MeanFault/2 || inj.Duration >= 3*p.MeanFault/2 {
+						t.Fatalf("%v window %v outside [mean/2, 3mean/2)", inj.Kind, inj.Duration)
+					}
+				default:
+					if inj.Duration != 0 {
+						t.Fatalf("%v with recovery horizon %v", inj.Kind, inj.Duration)
+					}
+				}
+				switch inj.Kind {
+				case PFSTornWrite, PFSPartialWrite, PFSBitRot:
+					if inj.Offset < -1 || inj.Offset >= 255 {
+						t.Fatalf("%v offset %d outside [-1, 255)", inj.Kind, inj.Offset)
+					}
+				default:
+					if inj.Offset != 0 {
+						t.Fatalf("%v with offset %d", inj.Kind, inj.Offset)
+					}
+				}
+			}
+			for _, k := range p.Kinds {
+				if drawn[k] == 0 {
+					t.Fatalf("%d draws produced no %v", p.N, k)
+				}
+			}
+		})
+	}
+}
+
+// TestDrawValidation rejects every degenerate plan. A 1ns horizon
+// leaves no instant strictly inside (0, horizon) and used to panic in
+// Int63n(0).
+func TestDrawValidation(t *testing.T) {
+	ok := Plan{N: 5, Kinds: []Kind{ServerCrash}, Horizon: time.Second, MeanFault: time.Millisecond, Servers: 4}
+	for _, c := range []struct {
+		name string
+		edit func(p *Plan)
+	}{
+		{"horizon-zero", func(p *Plan) { p.Horizon = 0 }},
+		{"horizon-1ns", func(p *Plan) { p.Horizon = time.Nanosecond }},
+		{"mean-zero", func(p *Plan) { p.MeanFault = 0 }},
+		{"no-kinds", func(p *Plan) { p.Kinds = nil }},
+		{"no-servers", func(p *Plan) { p.Servers = 0 }},
+		{"empty-server-range", func(p *Plan) { p.HorizonOps, p.Servers, p.FirstServer = 10, 1, 1 }},
+		{"rank-fail-stop", func(p *Plan) { p.Kinds = []Kind{ServerCrash, RankFailStop} }},
+		{"supervisor-kill-without-supervisors", func(p *Plan) { p.Kinds = []Kind{SupervisorKill} }},
+		{"supervisor-kill-on-op-clock", func(p *Plan) { p.Kinds, p.Supervisors, p.HorizonOps = []Kind{SupervisorKill}, 2, 10 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := ok
+			c.edit(&p)
+			if _, err := Draw(1, p); err == nil {
+				t.Fatalf("plan %+v accepted", p)
+			}
+		})
+	}
+	// The smallest valid horizon must work, not panic.
+	p := ok
+	p.Horizon = 2 * time.Nanosecond
+	s, err := Draw(1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	failStops := 0
 	for _, inj := range s {
-		switch inj.Kind {
-		case ServerFailStop:
-			failStops++
-			if inj.Duration != 0 {
-				t.Fatalf("fail-stop with recovery horizon %v", inj.Duration)
-			}
-		case ServerCrash:
-			if inj.Duration <= 0 {
-				t.Fatalf("server crash with non-positive duration %v", inj.Duration)
-			}
-		default:
-			t.Fatalf("unexpected kind %v", inj.Kind)
-		}
-	}
-	if failStops == 0 {
-		t.Fatal("40 draws over 2 kinds produced no fail-stops")
-	}
-}
-
-func TestNemesisTierSchedule(t *testing.T) {
-	a, err := NemesisTier(11, 60, time.Hour, time.Minute, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NemesisTier(11, 60, time.Hour, time.Minute, 4)
-	if len(a) != 60 || len(b) != 60 {
-		t.Fatalf("schedule lengths %d/%d", len(a), len(b))
-	}
-	counts := map[Kind]int{}
-	for i, inj := range a {
-		if inj != b[i] {
-			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, inj, b[i])
-		}
-		if i > 0 && inj.At < a[i-1].At {
-			t.Fatalf("unsorted at %d", i)
-		}
-		if inj.At <= 0 || inj.At >= time.Hour {
-			t.Fatalf("injection %d outside horizon: %v", i, inj.At)
-		}
-		counts[inj.Kind]++
-		switch inj.Kind {
-		case PFSTornWrite, PFSPartialWrite, PFSBitRot:
-			if inj.Offset < -1 || inj.Offset > 255 {
-				t.Fatalf("offset %d out of range", inj.Offset)
-			}
-		case PFSSlowIO, TenantOverload:
-			if inj.Duration <= 0 {
-				t.Fatalf("%v with non-positive duration", inj.Kind)
-			}
-		case ServerFailStop, PFSENOSPC:
-			if inj.Duration != 0 {
-				t.Fatalf("%v with recovery horizon %v", inj.Kind, inj.Duration)
-			}
-		default:
-			t.Fatalf("unexpected kind %v", inj.Kind)
-		}
-	}
-	for _, k := range []Kind{ServerFailStop, TenantOverload, PFSTornWrite, PFSBitRot, PFSENOSPC} {
-		if counts[k] == 0 {
-			t.Fatalf("60 draws produced no %v", k)
-		}
-	}
-}
-
-func TestChurnSchedule(t *testing.T) {
-	kinds := []Kind{ServerFailStop, ServerCrash, PFSENOSPC, PFSTornWrite, TenantOverload}
-	a, err := Churn(21, 80, 200, 4, 40*time.Millisecond, kinds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Churn(21, 80, 200, 4, 40*time.Millisecond, kinds...)
-	if len(a) != 80 {
-		t.Fatalf("schedule length %d", len(a))
-	}
-	counts := map[Kind]int{}
-	for i, inj := range a {
-		if inj != b[i] {
-			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, inj, b[i])
-		}
-		if i > 0 && inj.AtOp < a[i-1].AtOp {
-			t.Fatalf("unsorted by op clock at %d", i)
-		}
-		if inj.AtOp < 0 || inj.AtOp >= 200 {
-			t.Fatalf("op index %d outside horizon", inj.AtOp)
-		}
-		if inj.Server == 0 {
-			t.Fatal("churn faulted the lock server (slot 0)")
-		}
-		if inj.Server < 1 || inj.Server >= 4 {
-			t.Fatalf("server %d out of range", inj.Server)
-		}
-		counts[inj.Kind]++
-		switch inj.Kind {
-		case ServerCrash, TenantOverload:
-			if inj.Duration < 20*time.Millisecond || inj.Duration >= 60*time.Millisecond {
-				t.Fatalf("%v duration %v outside [mean/2, 3mean/2)", inj.Kind, inj.Duration)
-			}
-		case PFSTornWrite:
-			if inj.Offset < -1 || inj.Offset > 255 {
-				t.Fatalf("offset %d out of range", inj.Offset)
-			}
-		}
-	}
-	for _, k := range kinds {
-		if counts[k] == 0 {
-			t.Fatalf("80 draws produced no %v", k)
-		}
-	}
-}
-
-func TestChurnValidation(t *testing.T) {
-	if _, err := Churn(1, 5, 0, 4, time.Millisecond); err == nil {
-		t.Fatal("zero op horizon accepted")
-	}
-	if _, err := Churn(1, 5, 10, 1, time.Millisecond); err == nil {
-		t.Fatal("single-server churn accepted (slot 0 must stay unfaulted)")
-	}
-	if _, err := Churn(1, 5, 10, 4, 0); err == nil {
-		t.Fatal("zero mean fault accepted")
-	}
-	if _, err := Churn(1, 5, 10, 4, time.Millisecond, RankFailStop); err == nil {
-		t.Fatal("rank fail-stop accepted in a churn schedule")
-	}
-	if _, err := Churn(1, 5, 10, 4, time.Millisecond, SupervisorKill); err == nil {
-		t.Fatal("supervisor kill accepted in a churn schedule")
-	}
-	// Default kinds: fail-stops and blackouts only.
-	sched, err := Churn(3, 40, 100, 3, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inj := range sched {
-		if inj.Kind != ServerFailStop && inj.Kind != ServerCrash {
-			t.Fatalf("default kinds drew %v", inj.Kind)
+		if inj.At != time.Nanosecond {
+			t.Fatalf("injection at %v outside (0, 2ns)", inj.At)
 		}
 	}
 }

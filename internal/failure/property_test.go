@@ -68,77 +68,3 @@ func TestExponentialProperties(t *testing.T) {
 		}
 	}
 }
-
-func TestChaosScheduleProperties(t *testing.T) {
-	horizon := 10 * time.Second
-	mean := 200 * time.Millisecond
-	s, err := Chaos(5, 100, horizon, mean, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 100 {
-		t.Fatalf("%d entries", len(s))
-	}
-	kinds := map[Kind]int{}
-	for i, inj := range s {
-		if inj.At <= 0 || inj.At >= horizon {
-			t.Fatalf("entry %d at %v outside horizon", i, inj.At)
-		}
-		if i > 0 && s[i-1].At > inj.At {
-			t.Fatal("not sorted")
-		}
-		if inj.Server < 0 || inj.Server >= 4 {
-			t.Fatalf("server %d out of range", inj.Server)
-		}
-		if inj.Duration < mean/2 || inj.Duration >= 3*mean/2 {
-			t.Fatalf("duration %v outside [%v, %v)", inj.Duration, mean/2, 3*mean/2)
-		}
-		if inj.Kind == RankFailStop {
-			t.Fatal("chaos schedule contains a rank fail-stop")
-		}
-		kinds[inj.Kind]++
-	}
-	for _, k := range []Kind{ServerCrash, NetDelay, NetDrop} {
-		if kinds[k] == 0 {
-			t.Errorf("kind %v never drawn in 100 entries", k)
-		}
-	}
-	// Determinism.
-	again, _ := Chaos(5, 100, horizon, mean, 4)
-	for i := range s {
-		if s[i] != again[i] {
-			t.Fatalf("schedule not deterministic at %d", i)
-		}
-	}
-	// Validation.
-	if _, err := Chaos(1, 1, 0, mean, 4); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-	if _, err := Chaos(1, 1, horizon, 0, 4); err == nil {
-		t.Fatal("zero mean accepted")
-	}
-	if _, err := Chaos(1, 1, horizon, mean, 0); err == nil {
-		t.Fatal("zero servers accepted")
-	}
-	if _, err := Chaos(1, 1, horizon, mean, 4, RankFailStop); err == nil {
-		t.Fatal("rank fail-stop kind accepted")
-	}
-}
-
-// TestChaosRejectsDegenerateHorizon: a 1ns horizon leaves no instant
-// strictly inside (0, horizon) and used to panic in Int63n(0).
-func TestChaosRejectsDegenerateHorizon(t *testing.T) {
-	if _, err := Chaos(1, 1, time.Nanosecond, time.Millisecond, 2); err == nil {
-		t.Fatal("1ns horizon accepted")
-	}
-	// The smallest valid horizon must work, not panic.
-	s, err := Chaos(1, 5, 2*time.Nanosecond, time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inj := range s {
-		if inj.At <= 0 || inj.At >= 2*time.Nanosecond {
-			t.Fatalf("injection at %v outside (0, 2ns)", inj.At)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,13 +16,11 @@ import (
 // during the push, and leader election with fencing across redundant
 // supervisors.
 
-func haDetector(tr transport.Transport, id string) *health.Detector {
-	return health.NewDetector(tr, id, health.Config{
-		Period:       5 * time.Millisecond,
-		Timeout:      25 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    4,
-	})
+var haDetect = health.Config{
+	Period:       5 * time.Millisecond,
+	Timeout:      25 * time.Millisecond,
+	SuspectAfter: 2,
+	DeadAfter:    4,
 }
 
 // TestSpareReturnedOnFailedRestore is the spare-leak regression: the
@@ -61,7 +58,7 @@ func TestSpareReturnedOnFailedRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sup := New(chaos, haDetector(chaos, "sup/ret"), g.Membership(), g, Config{})
+	sup := New(chaos, g, Config{ID: "sup/ret", Detector: haDetect})
 	defer sup.Close()
 	sup.Start()
 
@@ -96,7 +93,7 @@ func TestSpareReturnedOnFailedRestore(t *testing.T) {
 
 // TestLateSpareHealsBacklog is the late-spare dead-end regression: a
 // death against an empty pool strands the slot (clients are told via
-// OnSlotDown), and a later AddSpare must heal it via the backlog sweep
+// the client pool's slot-down mark), and a later AddSpare must heal it via the backlog sweep
 // without another death event.
 func TestLateSpareHealsBacklog(t *testing.T) {
 	tr := transport.NewInProc()
@@ -106,15 +103,7 @@ func TestLateSpareHealsBacklog(t *testing.T) {
 	}
 	defer g.Close()
 
-	var mu sync.Mutex
-	var marks []bool
-	sup := New(tr, haDetector(tr, "sup/late"), g.Membership(), g, Config{
-		OnSlotDown: func(slot int, down bool) {
-			mu.Lock()
-			marks = append(marks, down)
-			mu.Unlock()
-		},
-	})
+	sup := New(tr, g, Config{ID: "sup/late", Detector: haDetect})
 	defer sup.Close()
 	sup.Start()
 
@@ -130,6 +119,12 @@ func TestLateSpareHealsBacklog(t *testing.T) {
 	}
 	if ds := sup.DeadSlots(); len(ds) != 1 || ds[0] != 2 {
 		t.Fatalf("dead backlog = %v, want [2]", ds)
+	}
+	for !g.Pool.SlotDown(2) {
+		if time.Now().After(deadline) {
+			t.Fatal("stranded slot never marked down in the client pool")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	spareAddr, err := g.AddSpare()
@@ -153,10 +148,11 @@ func TestLateSpareHealsBacklog(t *testing.T) {
 	if ds := sup.DeadSlots(); len(ds) != 0 {
 		t.Fatalf("dead backlog = %v after heal", ds)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(marks) < 2 || marks[0] != true || marks[len(marks)-1] != false {
-		t.Fatalf("OnSlotDown marks = %v, want down then up", marks)
+	if g.Pool.SlotDown(2) {
+		t.Fatal("healed slot still marked down in the client pool")
+	}
+	if a, e := g.Pool.Addrs()[2], g.Pool.Epoch(); a != spareAddr || e != 2 {
+		t.Fatalf("client pool slot 2 = %s at epoch %d, want %s at 2", a, e, spareAddr)
 	}
 }
 
@@ -183,7 +179,9 @@ func TestViewPushPartialFailureConverges(t *testing.T) {
 	// started before the promotion would get member 2 itself confirmed
 	// dead first and promoted into, stealing the spare.)
 	darkAddr := g.Membership().Addr(2)
-	sup := New(chaos, haDetector(chaos, "sup/push"), g.Membership(), g, Config{
+	sup := New(chaos, g, Config{
+		ID:       "sup/push",
+		Detector: haDetect,
 		PromotionHook: func(stage string, slot int) {
 			if stage == "replaced" && slot == 1 {
 				chaos.Blackout(darkAddr, 150*time.Millisecond)
@@ -246,7 +244,7 @@ func TestRedundantSupervisorsElectionAndFencing(t *testing.T) {
 	sups := make([]*Supervisor, 3)
 	for i := range sups {
 		id := fmt.Sprintf("ha/sup/%d", i)
-		sups[i] = New(tr, haDetector(tr, id), g.Membership(), g, Config{ID: id, LeaseTTL: ttl})
+		sups[i] = New(tr, g, Config{ID: id, Detector: haDetect, LeaseTTL: ttl})
 		defer sups[i].Close()
 		sups[i].Start()
 	}

@@ -82,11 +82,7 @@ func startHarness(t *testing.T, cfg staging.Config) *harness {
 	if _, err := g.AddSpare(); err != nil {
 		t.Fatal(err)
 	}
-	sup := New(tr, fastDetector(tr), g.Membership(), g, Config{
-		OnPromote: func(slot int, addr string, epoch uint64) {
-			g.SetMember(slot, addr, epoch)
-		},
-	})
+	sup := New(tr, g, Config{Detector: fastDetect})
 	t.Cleanup(func() { sup.Close() })
 	sup.Start()
 	prod, err := g.NewClient("sim/0")

@@ -35,18 +35,6 @@ import (
 	"gospaces/internal/transport"
 )
 
-// SparePool hands out addresses of warm spare servers; staging.Group
-// implements it. TakeSpareFor is idempotent per dead slot — until the
-// promotion commits (CommitSpare) or aborts (ReturnSpare), repeated
-// draws for the same slot return the same spare, which is what lets a
-// leader takeover resume a half-done promotion without spending a
-// second spare.
-type SparePool interface {
-	TakeSpareFor(slot int) (addr string, ok bool)
-	ReturnSpare(slot int) bool
-	CommitSpare(slot int)
-}
-
 // Config tunes the supervisor.
 type Config struct {
 	// Redundancy is the CoREC geometry of the shards to re-protect after
@@ -55,22 +43,17 @@ type Config struct {
 	Redundancy *corec.Config
 	// RebuildParallel bounds concurrent key rebuilds (default 4).
 	RebuildParallel int
-	// OnPromote, if set, runs after each promotion with the slot, the
-	// replacement address, and the new epoch — the hook a workflow uses
-	// to update its client-side staging pool.
-	OnPromote func(slot int, addr string, epoch uint64)
-	// ID names this supervisor in lease records (default "supervisor/0").
-	// Redundant supervisors over one group must use distinct IDs.
+	// ID names this supervisor in lease records and its detector's
+	// probes (default "supervisor/0"). Redundant supervisors over one
+	// group must use distinct IDs.
 	ID string
+	// Detector tunes the supervisor's liveness detector (health
+	// defaults when zero).
+	Detector health.Config
 	// LeaseTTL is the leader-lease duration: a standby takes over within
 	// one TTL of the leader stalling or dying. Default 3x the detector's
 	// detection window.
 	LeaseTTL time.Duration
-	// OnSlotDown, if set, reports a slot entering (down=true) or leaving
-	// (down=false) the dead-unrecovered backlog — dead with no spare
-	// left. A workflow marks the client pool so callers see ErrSlotDown
-	// instead of timing out against the dead address.
-	OnSlotDown func(slot int, down bool)
 	// PromotionHook, if set, runs after each completed promotion stage
 	// ("intent", "restored", "replaced", "pushed") — the nemesis
 	// harness's deterministic kill point for killing a leader
@@ -78,35 +61,22 @@ type Config struct {
 	PromotionHook func(stage string, slot int)
 }
 
-func (c Config) withDefaults(det *health.Detector) Config {
-	if c.RebuildParallel <= 0 {
-		c.RebuildParallel = 4
-	}
-	if c.ID == "" {
-		c.ID = "supervisor/0"
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 3 * det.Window()
-	}
-	return c
-}
-
 // deadSlot is one confirmed-dead membership slot awaiting promotion.
 type deadSlot struct {
 	addr     string // the address that died (for the intent journal)
-	notified bool   // OnSlotDown(slot, true) delivered: no spare was left
+	notified bool   // pool marked the slot down: no spare was left
 }
 
 // Supervisor drives fail-stop recovery for one staging group. Several
 // redundant supervisors may supervise the same group; leader election
 // picks one to act and the rest stand by.
 type Supervisor struct {
-	tr     transport.Transport
-	det    *health.Detector
-	mem    *health.Membership
-	spares SparePool
-	cfg    Config
-	reg    *metrics.Registry
+	tr    transport.Transport
+	det   *health.Detector
+	mem   *health.Membership
+	group *staging.Group
+	cfg   Config
+	reg   *metrics.Registry
 
 	events <-chan health.Event
 	memCh  <-chan health.Change
@@ -124,23 +94,38 @@ type Supervisor struct {
 	wake    chan struct{} // closed+replaced on every state change (WaitIdle)
 }
 
-// New wires a supervisor over a running detector and membership. It
-// arms the detector to watch every current member and subscribes to
-// membership changes so a standby's detector follows promotions made
-// by the leader; call Start to begin supervising. The detector should
-// not be started yet (Start does it).
-func New(tr transport.Transport, det *health.Detector, mem *health.Membership, spares SparePool, cfg Config) *Supervisor {
+// New wires a supervisor over a running staging group. It builds a
+// liveness detector from cfg.Detector under cfg.ID, arms it to watch
+// every current member, and subscribes to membership changes so a
+// standby's detector follows promotions made by the leader. Spares are
+// drawn from the group, and the group's client pool follows recovery:
+// a promotion re-points the slot (Pool.SetMember), and a slot stranded
+// without a spare is marked down (Pool.MarkSlotDown) until it heals,
+// so callers see ErrSlotDown instead of timing out against the dead
+// address. Call Start to begin supervising.
+func New(tr transport.Transport, group *staging.Group, cfg Config) *Supervisor {
+	if cfg.ID == "" {
+		cfg.ID = "supervisor/0"
+	}
+	det := health.NewDetector(tr, cfg.ID, cfg.Detector)
+	if cfg.RebuildParallel <= 0 {
+		cfg.RebuildParallel = 4
+	}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 3 * det.Window()
+	}
+	mem := group.Membership()
 	s := &Supervisor{
-		tr:     tr,
-		det:    det,
-		mem:    mem,
-		spares: spares,
-		cfg:    cfg.withDefaults(det),
-		reg:    metrics.NewRegistry(),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		dead:   make(map[int]*deadSlot),
-		wake:   make(chan struct{}),
+		tr:    tr,
+		det:   det,
+		mem:   mem,
+		group: group,
+		cfg:   cfg,
+		reg:   metrics.NewRegistry(),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		dead:  make(map[int]*deadSlot),
+		wake:  make(chan struct{}),
 	}
 	for id, addr := range mem.Addrs() {
 		det.Watch(id, addr)
@@ -397,18 +382,13 @@ func (s *Supervisor) handleEvent(ev health.Event) {
 		s.mu.Unlock()
 		s.sweep()
 	case health.Alive:
+		// Unconditional on heal: the supervisor that marked the slot
+		// down may have died, so any supervisor observing the heal
+		// clears the mark (clearing an unmarked slot is a no-op).
+		s.dropDead(ev.Server)
 		s.mu.Lock()
-		_, wasDead := s.dead[ev.Server]
-		delete(s.dead, ev.Server)
-		leader := s.leader
-		token := s.token
+		leader, token := s.leader, s.token
 		s.mu.Unlock()
-		if wasDead && s.cfg.OnSlotDown != nil {
-			// Unconditional on heal: the supervisor that marked the slot
-			// down may have died, so any supervisor observing the heal
-			// clears the mark (clearing an unmarked slot is a no-op).
-			s.cfg.OnSlotDown(ev.Server, false)
-		}
 		// A member that was dark during a view push converges on rejoin:
 		// the leader re-sends the current view to it (a spare that died
 		// out of the membership is not re-pushed).
@@ -429,14 +409,7 @@ func (s *Supervisor) handleEvent(ev health.Event) {
 // supervisor's backlog.
 func (s *Supervisor) handleChange(ch health.Change) {
 	s.det.SetAddr(ch.Server, ch.Addr)
-	s.mu.Lock()
-	_, wasDead := s.dead[ch.Server]
-	delete(s.dead, ch.Server)
-	s.mu.Unlock()
-	if wasDead && s.cfg.OnSlotDown != nil {
-		s.cfg.OnSlotDown(ch.Server, false)
-	}
-	s.wakeWaiters()
+	s.dropDead(ch.Server)
 }
 
 func (s *Supervisor) isLeader() bool {
@@ -651,7 +624,7 @@ func (s *Supervisor) resume(in staging.PromotionIntent) {
 		spare = in.Spare
 	} else {
 		var ok bool
-		spare, ok = s.spares.TakeSpareFor(in.Slot)
+		spare, ok = s.group.TakeSpareFor(in.Slot)
 		if !ok {
 			// The intent is stale: the deposed leader's spare was returned
 			// to the pool (failed restore) and the pool is now dry. Clear
@@ -699,7 +672,7 @@ func (s *Supervisor) sweep() {
 // recoverSlot runs the promote-and-re-protect sequence for one
 // backlogged slot: spare draw → intent journal → log restore → fenced
 // membership write → fenced view push → re-target detector → client
-// hook → fenced shard re-protection.
+// pool update → fenced shard re-protection.
 func (s *Supervisor) recoverSlot(slot int) {
 	s.mu.Lock()
 	d, ok := s.dead[slot]
@@ -719,11 +692,12 @@ func (s *Supervisor) recoverSlot(slot int) {
 		s.wakeWaiters()
 	}()
 
-	spare, ok := s.spares.TakeSpareFor(slot)
+	spare, ok := s.group.TakeSpareFor(slot)
 	if !ok {
 		// Spare exhaustion: the slot enters the stranded backlog. It is
 		// re-attempted every lease tick, so a later AddSpare heals it;
-		// meanwhile OnSlotDown lets clients fail fast with ErrSlotDown.
+		// meanwhile the pool's down mark lets clients fail fast with
+		// ErrSlotDown.
 		s.reg.Counter("recovery.no_spare").Inc()
 		s.markStranded(slot)
 		return
@@ -735,7 +709,7 @@ func (s *Supervisor) recoverSlot(slot int) {
 	s.reg.Counter("recovery.duration_ns").Add(time.Since(start).Nanoseconds())
 }
 
-// markStranded delivers OnSlotDown(slot, true) exactly once per death.
+// markStranded marks the slot down in the pool exactly once per death.
 func (s *Supervisor) markStranded(slot int) {
 	s.mu.Lock()
 	d, ok := s.dead[slot]
@@ -744,8 +718,8 @@ func (s *Supervisor) markStranded(slot int) {
 		d.notified = true
 	}
 	s.mu.Unlock()
-	if notify && s.cfg.OnSlotDown != nil {
-		s.cfg.OnSlotDown(slot, true)
+	if notify {
+		s.group.Pool.MarkSlotDown(slot, true)
 	}
 }
 
@@ -811,27 +785,22 @@ func (s *Supervisor) promote(slot int, deadAddr, spare string) {
 		return
 	}
 	s.clearIntent(slot, token)
-	s.spares.CommitSpare(slot)
+	s.group.CommitSpare(slot)
 	s.det.SetAddr(slot, spare)
 	s.dropDead(slot)
-	if s.cfg.OnPromote != nil {
-		s.cfg.OnPromote(slot, spare, epoch)
-	}
+	s.group.Pool.SetMember(slot, spare, epoch)
 	if s.cfg.Redundancy != nil {
 		s.reprotect(addrs)
 	}
 }
 
-// dropDead removes a healed slot from the backlog, clearing its
-// stranded mark.
+// dropDead removes a healed slot from the backlog and clears its
+// slot-down mark in the pool (a no-op for a slot never stranded).
 func (s *Supervisor) dropDead(slot int) {
 	s.mu.Lock()
-	_, ok := s.dead[slot]
 	delete(s.dead, slot)
 	s.mu.Unlock()
-	if ok && s.cfg.OnSlotDown != nil {
-		s.cfg.OnSlotDown(slot, false)
-	}
+	s.group.Pool.MarkSlotDown(slot, false)
 	s.wakeWaiters()
 }
 
@@ -844,7 +813,7 @@ func (s *Supervisor) giveBack(slot int, token uint64) {
 		return
 	}
 	s.clearIntent(slot, token)
-	if s.spares.ReturnSpare(slot) {
+	if s.group.ReturnSpare(slot) {
 		s.reg.Counter("recovery.spare_returns").Inc()
 	}
 }

@@ -14,13 +14,11 @@ import (
 	"gospaces/internal/transport"
 )
 
-func fastDetector(tr transport.Transport) *health.Detector {
-	return health.NewDetector(tr, "supervisor/0", health.Config{
-		Period:       5 * time.Millisecond,
-		Timeout:      20 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    4,
-	})
+var fastDetect = health.Config{
+	Period:       5 * time.Millisecond,
+	Timeout:      20 * time.Millisecond,
+	SuspectAfter: 2,
+	DeadAfter:    4,
 }
 
 func groupConfig(n int) staging.Config {
@@ -95,13 +93,7 @@ func TestSupervisorPromotesAndReprotects(t *testing.T) {
 	keys := []string{"k/0", "k/1", "k/2", "k/3", "k/4"}
 	protect(t, tr, g.Membership().Addrs(), red, keys, payloadFor)
 
-	var promoted []string
-	sup := New(tr, fastDetector(tr), g.Membership(), g, Config{
-		Redundancy: &red,
-		OnPromote: func(slot int, addr string, epoch uint64) {
-			promoted = append(promoted, fmt.Sprintf("%d@%s/e%d", slot, addr, epoch))
-		},
-	})
+	sup := New(tr, g, Config{Detector: fastDetect, Redundancy: &red})
 	defer sup.Close()
 	sup.Start()
 
@@ -118,8 +110,8 @@ func TestSupervisorPromotesAndReprotects(t *testing.T) {
 	if a := g.Membership().Addr(1); a != spareAddr {
 		t.Fatalf("slot 1 = %s, want %s", a, spareAddr)
 	}
-	if len(promoted) != 1 || promoted[0] != fmt.Sprintf("1@%s/e2", spareAddr) {
-		t.Fatalf("OnPromote calls = %v", promoted)
+	if a, e := g.Pool.Addrs()[1], g.Pool.Epoch(); a != spareAddr || e != 2 {
+		t.Fatalf("client pool slot 1 = %s at epoch %d, want %s at 2", a, e, spareAddr)
 	}
 	m := sup.Metrics()
 	if m.Counter("recovery.promotions").Value() != 1 {
@@ -165,7 +157,7 @@ func TestSupervisorNoSpare(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	sup := New(tr, fastDetector(tr), g.Membership(), g, Config{})
+	sup := New(tr, g, Config{Detector: fastDetect})
 	defer sup.Close()
 	sup.Start()
 	if err := g.FailStop(2); err != nil {
@@ -233,13 +225,12 @@ func TestRecoveryUnderChaosSchedule(t *testing.T) {
 	)
 	chaos.Apply(sched, g.Membership().Addrs())
 
-	det := health.NewDetector(chaos, "supervisor/0", health.Config{
+	sup := New(chaos, g, Config{Redundancy: &red, Detector: health.Config{
 		Period:       15 * time.Millisecond,
 		Timeout:      60 * time.Millisecond,
 		SuspectAfter: 2,
 		DeadAfter:    12,
-	})
-	sup := New(chaos, det, g.Membership(), g, Config{Redundancy: &red})
+	}})
 	defer sup.Close()
 	sup.Start()
 
@@ -287,7 +278,7 @@ func BenchmarkRebuildVsObjectCount(b *testing.B) {
 				keys[i] = fmt.Sprintf("k/%d", i)
 			}
 			protect(b, tr, g.Membership().Addrs(), red, keys, payloadFor)
-			sup := New(tr, fastDetector(tr), g.Membership(), g, Config{Redundancy: &red})
+			sup := New(tr, g, Config{Detector: fastDetect, Redundancy: &red})
 			defer sup.Close()
 			var bytesRestored int64
 			b.ResetTimer()

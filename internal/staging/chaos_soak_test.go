@@ -71,8 +71,10 @@ func TestChaosSoak(t *testing.T) {
 	// server 1 (shorter than one retry envelope: 10 attempts x <=50ms
 	// spans >200ms).
 	chaos.SetCallFaults(0.10, 2*time.Millisecond, 0.05)
-	sched, err := failure.Chaos(seed, 6, 3*time.Second, 60*time.Millisecond, nServers,
-		failure.NetDelay, failure.NetDrop)
+	sched, err := failure.Draw(seed, failure.Plan{
+		N: 6, Kinds: []failure.Kind{failure.NetDelay, failure.NetDrop},
+		Horizon: 3 * time.Second, MeanFault: 60 * time.Millisecond, Servers: nServers,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,6 +237,9 @@ type Client struct {
 }
 
 // NewClient connects rank identity app (e.g. "sim/12") to the group.
+// A slot that cannot be dialled — fail-stopped and not yet promoted —
+// is left unbound: its calls fail with the (retryable) dial error until
+// the call path's rebind dials the slot's current address.
 func (p *Pool) NewClient(app string) (*Client, error) {
 	c := &Client{
 		app:   app,
@@ -247,14 +250,21 @@ func (p *Pool) NewClient(app string) (*Client, error) {
 	for i, addr := range p.Addrs() {
 		conn, err := p.tr.Dial(addr)
 		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("staging: dial server %d: %w", i, err)
+			c.conns[i] = unbound{fmt.Errorf("staging: dial server %d: %w", i, err)}
+			continue
 		}
 		c.conns[i] = conn
 		c.addrs[i] = addr
 	}
 	return c, nil
 }
+
+// unbound stands in for a connection NewClient could not dial. Its
+// empty address in Client.addrs makes every rebind re-dial the slot.
+type unbound struct{ err error }
+
+func (u unbound) Call(any) (any, error) { return nil, u.err }
+func (unbound) Close() error            { return nil }
 
 // App returns the client's component/rank identity.
 func (c *Client) App() string { return c.app }

@@ -133,6 +133,81 @@ func TestClientRebindsAfterPromotion(t *testing.T) {
 	}
 }
 
+// TestClientCreatedWhileSlotDead covers a rank client created between
+// a fail-stop and its promotion: NewClient must not fail on the dead
+// slot, calls touching it fail retryably (never a nil-connection
+// panic), and once the spare is promoted the same client reaches it.
+func TestClientCreatedWhileSlotDead(t *testing.T) {
+	tr := transport.NewInProc()
+	cfg := Config{
+		Global:   domain.Box3(0, 0, 0, 63, 63, 0),
+		NServers: 2,
+		Bits:     2,
+		ElemSize: 1,
+	}
+	g, err := StartGroup(tr, "stage", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.AddSpare(); err != nil {
+		t.Fatal(err)
+	}
+	// Slot 0 also hosts the lock table.
+	if err := g.FailStop(0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := g.NewClient("sim/0")
+	if err != nil {
+		t.Fatalf("client creation during the promotion window: %v", err)
+	}
+	defer c.Close()
+
+	full := cfg.Global
+	data := make([]byte, domain.BufLen(full, 1))
+	for i := range data {
+		data[i] = byte(i * 11)
+	}
+	if err := c.Put("u", 1, full, data); !transport.Retryable(err) {
+		t.Fatalf("put across the dead slot: %v, want a retryable error", err)
+	}
+	if err := c.LockOnWrite("lk"); err == nil {
+		t.Fatal("lock on the dead lock server succeeded")
+	}
+	if _, err := c.Stats(); err == nil {
+		t.Fatal("stats across the dead slot succeeded")
+	}
+
+	spareAddr, ok := g.TakeSpare()
+	if !ok {
+		t.Fatal("no spare to take")
+	}
+	epoch, err := g.Membership().Replace(0, spareAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newAddrs := g.Membership().Addrs()
+	g.Server(1).SetMembership(epoch, newAddrs)
+	g.ServerAt(spareAddr).SetMembership(epoch, newAddrs)
+
+	if err := c.LockOnWrite("lk"); err != nil {
+		t.Fatalf("lock after promotion: %v", err)
+	}
+	if err := c.Put("u", 1, full, data); err != nil {
+		t.Fatalf("put after promotion: %v", err)
+	}
+	got, _, err := c.Get("u", 1, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("post-promotion data mismatch")
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("stats after promotion: %v", err)
+	}
+}
+
 func TestShardKeysAndRebuildAccounting(t *testing.T) {
 	s := NewServer(0)
 	if _, err := s.Handle(ShardPutReq{Key: "b", Shard: 0, Data: []byte{1, 2}}); err != nil {

@@ -170,8 +170,8 @@ func (g *Group) takeLocked() (string, bool) {
 // slot. The draw is idempotent: until CommitSpare or ReturnSpare, the
 // slot keeps the same spare, so a recovery-leader takeover that
 // resumes a half-done promotion gets the spare the deposed leader
-// already spent — never a second one. It is the recovery.SparePool the
-// supervisor draws from.
+// already spent — never a second one. The recovery supervisor draws
+// its spares here.
 func (g *Group) TakeSpareFor(slot int) (string, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 // Transport and perturbs the client side with call latency, dropped
 // responses, connection kills, and per-server blackouts. Faults come
 // from two sources: a deterministic seeded schedule (Apply, fed by
-// failure.Chaos) and optional per-call probabilistic faults
+// failure.Draw) and optional per-call probabilistic faults
 // (SetCallFaults). The server side can inject handler latency and
 // hangs (SetServeFaults), which stagingd exposes as flags so clients
 // can be tested against a live faulty daemon.

@@ -84,7 +84,10 @@ func TestChaosDelayAddsLatency(t *testing.T) {
 }
 
 func TestChaosApplySchedule(t *testing.T) {
-	sched, err := failure.Chaos(7, 6, 500*time.Millisecond, 40*time.Millisecond, 2)
+	sched, err := failure.Draw(7, failure.Plan{
+		N: 6, Kinds: []failure.Kind{failure.ServerCrash, failure.NetDelay, failure.NetDrop},
+		Horizon: 500 * time.Millisecond, MeanFault: 40 * time.Millisecond, Servers: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,20 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gospaces/internal/domain"
 	"gospaces/internal/failure"
 	"gospaces/internal/health"
-	"gospaces/internal/pfs"
 	"gospaces/internal/qos"
 	"gospaces/internal/recovery"
 	"gospaces/internal/staging"
-	"gospaces/internal/tier"
-	"gospaces/internal/transport"
 	"gospaces/internal/wlog"
 )
 
@@ -57,12 +52,12 @@ type NemesisOptions struct {
 	// first death has been confirmed unrecoverable (recovery.no_spare),
 	// exercising the dead-slot backlog heal.
 	SpareDelay bool
-	// Chaos adds a seeded schedule of transient server blackouts on top
-	// of the deterministic deaths.
+	// Chaos draws that many seeded transient server blackouts and
+	// supervisor kills on top of the deterministic deaths.
 	Chaos int
-	// Overload draws a seeded failure.NemesisOverload schedule of that
-	// many injections and arms its tenant-overload windows: during each
-	// window a quota'd low-priority tenant floods the group with puts.
+	// Overload draws that many seeded tenant-overload windows: during
+	// each window a quota'd low-priority tenant floods the group with
+	// puts.
 	// The group runs with the admission layer (internal/qos) enabled, so
 	// the soak asserts recovery and the logged data path survive while
 	// the flood is shed.
@@ -71,10 +66,10 @@ type NemesisOptions struct {
 	// budget of ~4 versions, so the producer's logged history spills and
 	// replay reads promote spilled versions back.
 	Tier bool
-	// StorageFaults draws a seeded failure.NemesisTier schedule of that
-	// many injections and arms its PFS faults — torn/partial writes at
-	// random offsets, at-rest bit rot, ENOSPC, slow I/O — against the
-	// servers' tier backends while the soak runs. Requires Tier.
+	// StorageFaults draws that many seeded PFS faults — torn/partial
+	// writes at random offsets, at-rest bit rot, ENOSPC, slow I/O — and
+	// arms them against the servers' tier backends while the soak runs.
+	// Requires Tier.
 	StorageFaults int
 }
 
@@ -98,7 +93,7 @@ type NemesisResult struct {
 	OverloadWindows int    // tenant-overload windows armed from the schedule
 	FloodPuts       int64  // puts the flood tenant attempted during those windows
 	FloodSheds      int64  // flood puts rejected with a typed qos overload
-	StorageArmed    int64  // PFS faults armed from the NemesisTier schedule
+	StorageArmed    int64  // PFS faults armed from the storage schedule
 	TierSpills      int64  // versions demoted to the cold tier, summed across servers
 	TierPromotes    int64  // spilled versions promoted back by replay reads
 	ScrubChecked    int64  // spilled generations checked by the post-soak scrub
@@ -158,51 +153,24 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 	var res NemesisResult
 
-	tr := transport.NewChaos(transport.NewInProc(), o.Seed)
-	global := domain.Box3(0, 0, 0, 63, 63, 0)
-	scfg := staging.Config{
-		Global:       global,
-		NServers:     o.Servers,
-		Bits:         2,
-		ElemSize:     1,
-		WlogReplicas: 2,
+	global := soakGlobal()
+	spares := o.Spares
+	if o.SpareDelay {
+		spares = 0
 	}
-	if o.Overload > 0 {
-		// Admission control on: the flood tenant gets a small staging
-		// quota at the lowest priority, everyone else (the logged
-		// producer under "nemesis/") rides the default at priority 1.
-		scfg.QoS = &qos.Config{
-			Tenants: map[string]qos.Quota{"flood": {StagingBytes: 4096, Priority: 0}},
-			Default: qos.Quota{Priority: 1},
-		}
-	}
-	var tierMu sync.Mutex
-	tierBackends := map[int]*pfs.Store{}
+	var tierBudget int64
 	if o.Tier {
 		// A budget of ~4 versions forces the older logged history to
 		// spill; replay reads then promote it back. Spares get their own
-		// (reset-on-promotion) tiers via the same hook.
-		scfg.MemoryBudgetPerServer = 4 * global.Volume()
-		scfg.TierBackend = func(id int) tier.Backend {
-			be := pfs.NewStore()
-			tierMu.Lock()
-			tierBackends[id] = be
-			tierMu.Unlock()
-			return be
-		}
+		// (reset-on-promotion) tiers.
+		tierBudget = 4 * global.Volume()
 	}
-	group, err := staging.StartGroup(tr, fmt.Sprintf("nemesis/%d", o.Seed), scfg)
+	f, err := newFaultGroup(fmt.Sprintf("nemesis/%d", o.Seed), o.Seed, o.Servers, spares, o.Overload > 0, tierBudget)
 	if err != nil {
 		return res, err
 	}
+	group := f.group
 	defer group.Close()
-	if !o.SpareDelay {
-		for i := 0; i < o.Spares; i++ {
-			if _, err := group.AddSpare(); err != nil {
-				return res, err
-			}
-		}
-	}
 
 	// Redundant supervisors with fast detectors; the lease TTL is a few
 	// detection windows so a takeover lands quickly enough for a short
@@ -213,22 +181,14 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 	var killMu sync.Mutex
 	killsLeft := o.Kills
 	for i := 0; i < o.Supervisors; i++ {
-		i := i
-		id := fmt.Sprintf("nemesis/sup/%d", i)
-		det := health.NewDetector(tr, id, health.Config{
-			Period:       5 * time.Millisecond,
-			Timeout:      25 * time.Millisecond,
-			SuspectAfter: 2,
-			DeadAfter:    4,
-		})
 		cfg := recovery.Config{
-			ID:       id,
+			ID:       fmt.Sprintf("nemesis/sup/%d", i),
 			LeaseTTL: leaseTTL,
-			OnPromote: func(slot int, addr string, epoch uint64) {
-				group.Pool.SetMember(slot, addr, epoch)
-			},
-			OnSlotDown: func(slot int, down bool) {
-				group.Pool.MarkSlotDown(slot, down)
+			Detector: health.Config{
+				Period:       5 * time.Millisecond,
+				Timeout:      25 * time.Millisecond,
+				SuspectAfter: 2,
+				DeadAfter:    4,
 			},
 		}
 		cfg.PromotionHook = func(stage string, slot int) {
@@ -258,154 +218,97 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 			}
 			sups[i].Kill()
 		}
-		sups[i] = recovery.New(tr, det, group.Membership(), group, cfg)
+		sups[i] = recovery.New(f.tr, group, cfg)
 		sups[i].Start()
 		defer sups[i].Close()
 	}
 
-	// Optional transient chaos riding on top of the deterministic
-	// deaths: blackouts against servers, random supervisor kills within
-	// the kill budget.
-	if o.Chaos > 0 {
-		sched, err := failure.Nemesis(o.Seed, o.Chaos, 300*time.Millisecond, 40*time.Millisecond, o.Servers, o.Supervisors-1)
+	// One seeded fault schedule riding on top of the deterministic
+	// deaths (permanent fail-stops stay deterministic, bounded by the
+	// spare pool), one Draw per enabled family: transient blackouts and
+	// supervisor kills within the kill budget (the last supervisor is
+	// never a target), storage faults against the cold tiers, and
+	// tenant-overload windows. Storage faults find no backend to bite
+	// without Tier.
+	var sched failure.Schedule
+	for _, fam := range []struct {
+		seed  int64
+		n     int
+		kinds []failure.Kind
+	}{
+		{o.Seed, o.Chaos, []failure.Kind{failure.ServerCrash, failure.SupervisorKill}},
+		{o.Seed + 1, o.StorageFaults, []failure.Kind{failure.PFSTornWrite, failure.PFSPartialWrite, failure.PFSBitRot, failure.PFSENOSPC, failure.PFSSlowIO}},
+		{o.Seed, o.Overload, []failure.Kind{failure.TenantOverload}},
+	} {
+		if fam.n <= 0 {
+			continue
+		}
+		s, err := failure.Draw(fam.seed, failure.Plan{
+			N: fam.n, Kinds: fam.kinds, Horizon: 300 * time.Millisecond, MeanFault: 40 * time.Millisecond,
+			Servers: o.Servers, Supervisors: o.Supervisors - 1,
+		})
 		if err != nil {
 			return res, err
 		}
-		addrs := group.Addrs()
-		start := time.Now()
-		for _, inj := range sched {
-			inj := inj
-			switch inj.Kind {
-			case failure.ServerCrash:
-				time.AfterFunc(inj.At-time.Since(start), func() {
-					tr.Blackout(addrs[inj.Server], inj.Duration)
-				})
-			case failure.SupervisorKill:
-				time.AfterFunc(inj.At-time.Since(start), func() {
-					killMu.Lock()
-					ok := killsLeft > 0 && !killed[inj.Server] && inj.Server != o.Supervisors-1
-					if ok {
-						killsLeft--
-						killed[inj.Server] = true
-					}
-					killMu.Unlock()
-					if ok {
-						sups[inj.Server].Kill()
-					}
-				})
-			default:
-				// Permanent fail-stops stay deterministic (bounded by the
-				// spare pool); skip schedule-driven ones.
-			}
-		}
+		sched = append(sched, s...)
 	}
 
-	// Storage faults against the cold tiers: torn/partial writes and
-	// ENOSPC arm one-shot write faults (a failed spill rolls back and
-	// the version stays resident — never half-moved), bit rot corrupts a
-	// committed generation-0 record at rest (the twin generation must
-	// heal it), and slow-I/O windows drag every tier access. All of it
-	// runs while servers die and the flood sheds.
-	var storageArmed atomic.Int64
-	if o.Tier && o.StorageFaults > 0 {
-		sched, err := failure.NemesisTier(o.Seed+1, o.StorageFaults, 300*time.Millisecond, 40*time.Millisecond, o.Servers)
-		if err != nil {
-			return res, err
-		}
-		start := time.Now()
-		for _, inj := range sched {
-			inj := inj
-			arm := func(f func(be *pfs.Store)) {
-				time.AfterFunc(inj.At-time.Since(start), func() {
-					tierMu.Lock()
-					be := tierBackends[inj.Server]
-					tierMu.Unlock()
-					if be == nil {
-						return
-					}
-					f(be)
-					storageArmed.Add(1)
-				})
-			}
-			switch inj.Kind {
-			case failure.PFSTornWrite:
-				arm(func(be *pfs.Store) { be.FailNextWriteAt(pfs.FaultTruncate, inj.Offset) })
-			case failure.PFSPartialWrite:
-				arm(func(be *pfs.Store) { be.FailNextWriteAt(pfs.FaultPartial, inj.Offset) })
-			case failure.PFSENOSPC:
-				arm(func(be *pfs.Store) { be.FailNextWriteAt(pfs.FaultENOSPC, -1) })
-			case failure.PFSBitRot:
-				arm(func(be *pfs.Store) {
-					// Rot a committed generation-0 record; its generation-1
-					// twin stays intact, so the corruption is always
-					// healable — any read or scrub must detect it, never
-					// serve it.
-					var g0 []string
-					for _, name := range be.List("tier/") {
-						if strings.HasSuffix(name, "/g0") {
-							g0 = append(g0, name)
-						}
-					}
-					if len(g0) == 0 {
-						return
-					}
-					off := inj.Offset
-					if off < 0 {
-						off = 0
-					}
-					be.Corrupt(g0[off%len(g0)], off)
-				})
-			case failure.PFSSlowIO:
-				arm(func(be *pfs.Store) {
-					be.SetSlowIO(200 * time.Microsecond)
-					time.AfterFunc(inj.Duration, func() { be.SetSlowIO(0) })
-				})
-			default:
-				// Fail-stops and overload windows stay with their own
-				// deterministic/seeded drivers above.
-			}
-		}
-	}
-
-	// Overload windows: a low-priority tenant floods the group while the
-	// deterministic deaths (the composed ServerFailStops) land between
-	// producer versions. Each window runs its own client so overlapping
-	// windows never share a connection; errors are expected — the typed
-	// overload rejections are the admission layer doing its job and are
-	// counted, everything else (dead slots mid-promotion) is ignored.
+	// Overload windows flood the group with a low-priority tenant while
+	// the deaths land between producer versions. Each window runs its
+	// own client so overlapping windows never share a connection;
+	// errors are expected — the typed overload rejections are the
+	// admission layer doing its job and are counted, everything else
+	// (dead slots mid-promotion) is ignored. Storage faults all run
+	// while servers die and the flood sheds.
 	var floodWG sync.WaitGroup
-	var floodPuts, floodSheds, floodSeq atomic.Int64
-	if o.Overload > 0 {
-		sched, err := failure.NemesisOverload(o.Seed, o.Overload, 300*time.Millisecond, 40*time.Millisecond, o.Servers)
+	var floodPuts, floodSheds, floodSeq, storageArmed atomic.Int64
+	flood := func(d time.Duration) {
+		defer floodWG.Done()
+		cl, err := group.NewClient("nemesis/flood")
 		if err != nil {
-			return res, err
+			return
 		}
-		start := time.Now()
-		for _, inj := range sched {
-			inj := inj
-			if inj.Kind != failure.TenantOverload {
-				continue // fail-stops stay deterministic, as above
+		defer cl.Close()
+		for end := time.Now().Add(d); time.Now().Before(end); {
+			n := floodSeq.Add(1)
+			floodPuts.Add(1)
+			err := cl.Put(fmt.Sprintf("flood/f%d", n), 1, global, nemesisPayload(n, global.Volume()))
+			if _, ok := qos.FromError(err); ok {
+				floodSheds.Add(1)
 			}
+		}
+	}
+	start := time.Now()
+	for _, inj := range failure.Fixed(sched...) {
+		var fire func()
+		switch inj.Kind {
+		case failure.ServerCrash:
+			fire = func() { f.blackout(inj.Server, inj.Duration) }
+		case failure.SupervisorKill:
+			fire = func() {
+				killMu.Lock()
+				ok := killsLeft > 0 && !killed[inj.Server]
+				if ok {
+					killsLeft--
+					killed[inj.Server] = true
+				}
+				killMu.Unlock()
+				if ok {
+					sups[inj.Server].Kill()
+				}
+			}
+		case failure.TenantOverload:
 			res.OverloadWindows++
 			floodWG.Add(1)
-			time.AfterFunc(inj.At-time.Since(start), func() {
-				defer floodWG.Done()
-				flood, err := group.NewClient("nemesis/flood")
-				if err != nil {
-					return
+			fire = func() { flood(inj.Duration) }
+		default:
+			fire = func() {
+				if f.tierFault(inj.Server, inj.Kind, inj.Offset, inj.Duration) {
+					storageArmed.Add(1)
 				}
-				defer flood.Close()
-				end := time.Now().Add(inj.Duration)
-				for time.Now().Before(end) {
-					n := floodSeq.Add(1)
-					floodPuts.Add(1)
-					err := flood.Put(fmt.Sprintf("flood/f%d", n), 1, global, nemesisPayload(n, global.Volume()))
-					if _, ok := qos.FromError(err); ok {
-						floodSheds.Add(1)
-					}
-				}
-			})
+			}
 		}
+		time.AfterFunc(inj.At-time.Since(start), fire)
 	}
 
 	// Spare-exhaustion heal: the pool starts empty, so the death strands
@@ -438,6 +341,38 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 		return res, err
 	}
 	defer prod.Close()
+	cons, err := group.NewClient("nemesis/cons")
+	if err != nil {
+		return res, err
+	}
+	defer cons.Close()
+	put := func(v int) error {
+		data := nemesisPayload(int64(v), global.Volume())
+		return nemesisRetry(10*time.Second, &res, func() error {
+			err := prod.PutWithLog("nemesis/field", int64(v), global, data)
+			if errors.Is(err, wlog.ErrReplayDivergence) {
+				res.ReplayDiverged = true
+				return nil
+			}
+			if err != nil {
+				prod.Reconnect()
+			}
+			return err
+		})
+	}
+	readBack := func(v int) error {
+		return nemesisRetry(10*time.Second, &res, func() error {
+			got, _, err := cons.GetWithLog("nemesis/field", int64(v), global)
+			if err != nil {
+				cons.Reconnect()
+				return err
+			}
+			if !bytes.Equal(got, nemesisPayload(int64(v), global.Volume())) {
+				return fmt.Errorf("nemesis: version %d read back %d bytes, mismatch", v, len(got))
+			}
+			return nil
+		})
+	}
 
 	// Producer phase: logged writes spread over the fault window, with
 	// the deaths injected between versions. Writes retry through
@@ -445,7 +380,7 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 	deathAt := make(map[int]int) // version index -> slot
 	deadOrder := rng.Perm(o.Servers)
 	for d := 0; d < o.Deaths; d++ {
-		v := 2 + d*(o.Steps-3)/maxInt(1, o.Deaths)
+		v := 2 + d*(o.Steps-3)/max(1, o.Deaths)
 		deathAt[v] = deadOrder[d]
 	}
 	for v := 1; v <= o.Steps; v++ {
@@ -455,15 +390,18 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 			}
 			res.Deaths++
 		}
-		data := nemesisPayload(int64(v), global.Volume())
-		if err := nemesisRetry(10*time.Second, &res, func() error {
-			if err := prod.PutWithLog("nemesis/field", int64(v), global, data); err != nil {
-				prod.Reconnect()
-				return err
-			}
-			return nil
-		}); err != nil {
+		if err := put(v); err != nil {
 			return res, fmt.Errorf("put v%d: %w", v, err)
+		}
+		if v == 1 {
+			// Put the consumer's read of v1 on record right away: GC keeps
+			// every logged version at or above the payload frontier of a
+			// name some component has read, but a name nobody has read
+			// has no frontier, so budget pressure could collect unread
+			// history before the consumer phase gets to it.
+			if err := readBack(1); err != nil {
+				return res, err
+			}
 		}
 		time.Sleep(time.Duration(rng.Intn(8)) * time.Millisecond)
 	}
@@ -480,24 +418,8 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 
 	// Consumer phase: every version reads back byte-exactly through the
 	// (possibly restored) logs.
-	cons, err := group.NewClient("nemesis/cons")
-	if err != nil {
-		return res, err
-	}
-	defer cons.Close()
 	for v := 1; v <= o.Steps; v++ {
-		want := nemesisPayload(int64(v), global.Volume())
-		if err := nemesisRetry(10*time.Second, &res, func() error {
-			got, _, err := cons.GetWithLog("nemesis/field", int64(v), global)
-			if err != nil {
-				cons.Reconnect()
-				return err
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("nemesis: version %d read back %d bytes, mismatch", v, len(got))
-			}
-			return nil
-		}); err != nil {
+		if err := readBack(v); err != nil {
 			return res, err
 		}
 	}
@@ -512,18 +434,7 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 	}
 	res.ReplayEvents = replayed
 	for v := 1; v <= o.Steps; v++ {
-		data := nemesisPayload(int64(v), global.Volume())
-		if err := nemesisRetry(10*time.Second, &res, func() error {
-			err := prod.PutWithLog("nemesis/field", int64(v), global, data)
-			if errors.Is(err, wlog.ErrReplayDivergence) {
-				res.ReplayDiverged = true
-				return nil
-			}
-			if err != nil {
-				prod.Reconnect()
-			}
-			return err
-		}); err != nil {
+		if err := put(v); err != nil {
 			return res, fmt.Errorf("replay v%d: %w", v, err)
 		}
 	}
@@ -542,14 +453,9 @@ func RunNemesis(o NemesisOptions) (NemesisResult, error) {
 	// that) and an undetected one would already have failed the
 	// byte-exact read/replay phases above.
 	if o.Tier {
-		tierMu.Lock()
-		for _, be := range tierBackends {
-			be.FailNextWriteAt(pfs.FaultNone, -1)
-			be.SetSlowIO(0)
-		}
-		tierMu.Unlock()
+		f.disarmTiers()
 		for _, addr := range group.Addrs() {
-			conn, err := tr.Dial(addr)
+			conn, err := f.tr.Dial(addr)
 			if err != nil {
 				continue // a dead slot's original address
 			}
@@ -668,11 +574,4 @@ func waitCounter(sups []*recovery.Supervisor, name string, timeout time.Duration
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,19 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
-	"gospaces/internal/domain"
 	"gospaces/internal/failure"
 	"gospaces/internal/health"
-	"gospaces/internal/pfs"
 	"gospaces/internal/qos"
 	"gospaces/internal/recovery"
 	"gospaces/internal/staging"
-	"gospaces/internal/tier"
 	"gospaces/internal/trace"
-	"gospaces/internal/transport"
 	"gospaces/internal/wlog"
 )
 
@@ -101,10 +96,6 @@ type SoakResult struct {
 	Retries    int64  // workload operations that needed at least one retry
 }
 
-// soakGlobal is the domain every soak trace spans: 64x64x1 bytes, so
-// one version is 4 KiB and a few versions fit a tier-test budget.
-func soakGlobal() domain.BBox { return domain.Box3(0, 0, 0, 63, 63, 0) }
-
 // soakPayload generates the deterministic byte pattern for one put: a
 // splitmix64 stream keyed by the recorded seed, so the trace carries
 // 16 bytes per put instead of the payload and still replays
@@ -151,12 +142,12 @@ func soakPutSeed(base int64, g, v int) int64 {
 	return base ^ (int64(g+1) << 40) ^ int64(v)*2654435761
 }
 
-func soakField(g int) string  { return fmt.Sprintf("soak/g%d/field", g) }
-func soakLock(g int) string   { return fmt.Sprintf("soak/lk/%d", g) }
-func soakProd(g int) string   { return fmt.Sprintf("soak/prod/%d", g) }
-func soakCons(g int) string   { return fmt.Sprintf("soak/cons/%d", g) }
-func soakSweep() string       { return "soak/sweep" }
-func soakFloodApp() string    { return "soak/flood" }
+func soakField(g int) string { return fmt.Sprintf("soak/g%d/field", g) }
+func soakLock(g int) string  { return fmt.Sprintf("soak/lk/%d", g) }
+func soakProd(g int) string  { return fmt.Sprintf("soak/prod/%d", g) }
+func soakCons(g int) string  { return fmt.Sprintf("soak/cons/%d", g) }
+func soakSweep() string      { return "soak/sweep" }
+func soakFloodApp() string   { return "soak/flood" }
 
 // BuildSoakTrace generates the complete recorded schedule for one
 // seeded soak: the multi-group workload, the fault injections at their
@@ -276,7 +267,10 @@ func BuildSoakTrace(o SoakOptions) (trace.Header, []trace.Event, error) {
 		if o.Overload {
 			kinds = append(kinds, failure.TenantOverload)
 		}
-		sched, err := failure.Churn(o.Seed+1, o.Faults, len(segments), o.Servers, 40*time.Millisecond, kinds...)
+		sched, err := failure.Draw(o.Seed+1, failure.Plan{
+			N: o.Faults, Kinds: kinds, HorizonOps: len(segments),
+			MeanFault: 40 * time.Millisecond, Servers: o.Servers, FirstServer: 1,
+		})
 		if err != nil {
 			return h, nil, err
 		}
@@ -324,7 +318,7 @@ func BuildSoakTrace(o SoakOptions) (trace.Header, []trace.Event, error) {
 // BuildRegressionTrace builds one of the named crash-consistency
 // scenarios persisted under testdata/: a clean seeded workload with
 // faults inserted at hand-picked logical-clock positions so the trace
-// exercises one specific recovery path. Unlike Churn-drawn soaks, the
+// exercises one specific recovery path. Unlike Draw-scheduled soaks, the
 // fault placement here is part of the scenario's identity — a fail-stop
 // immediately before a restart IS kill-mid-replay.
 func BuildRegressionTrace(kind string) (trace.Header, []trace.Event, error) {
@@ -502,15 +496,10 @@ func ReplayTrace(h trace.Header, events []trace.Event) (SoakResult, error) {
 
 // soakExec drives a live staging group from trace events.
 type soakExec struct {
+	*faultGroup
 	h       trace.Header
-	global  domain.BBox
-	tr      *transport.Chaos
-	group   *staging.Group
 	sup     *recovery.Supervisor
 	clients map[string]*staging.Client
-
-	tierMu       sync.Mutex
-	tierBackends map[int]*pfs.Store
 
 	// history tracks each producer's logged puts since its last
 	// checkpoint: exactly the suffix workflow_restart replays, so a
@@ -530,55 +519,27 @@ type soakExec struct {
 }
 
 func newSoakExec(h trace.Header) (*soakExec, error) {
-	if h.Servers < 2 || h.DimX != 64 || h.DimY != 64 || h.DimZ != 1 {
+	if h.Servers < 2 || h.DimX != 64 || h.DimY != 64 || h.DimZ != 1 || h.Bits != 2 || h.ElemSize != 1 || h.Replicas != 2 {
 		return nil, fmt.Errorf("workflow: trace header does not describe a soak environment: %+v", h)
 	}
-	x := &soakExec{
-		h:            h,
-		global:       soakGlobal(),
-		clients:      map[string]*staging.Client{},
-		tierBackends: map[int]*pfs.Store{},
-		history:      map[string][]trace.Event{},
-		covered:      map[string]int64{},
-		lastPut:      map[string]int64{},
-	}
-	x.tr = transport.NewChaos(transport.NewInProc(), h.Seed)
-	scfg := staging.Config{
-		Global:       x.global,
-		NServers:     h.Servers,
-		Bits:         h.Bits,
-		ElemSize:     h.ElemSize,
-		WlogReplicas: h.Replicas,
-	}
-	if h.Flags&trace.FlagOverload != 0 {
-		scfg.QoS = &qos.Config{
-			Tenants: map[string]qos.Quota{"flood": {StagingBytes: 4096, Priority: 0}},
-			Default: qos.Quota{Priority: 1},
-		}
-	}
+	var tierBudget int64
 	if h.Flags&trace.FlagTier != 0 {
-		scfg.MemoryBudgetPerServer = h.MemBudget
-		scfg.TierBackend = func(id int) tier.Backend {
-			be := pfs.NewStore()
-			x.tierMu.Lock()
-			x.tierBackends[id] = be
-			x.tierMu.Unlock()
-			return be
-		}
+		tierBudget = h.MemBudget
 	}
-	group, err := staging.StartGroup(x.tr, fmt.Sprintf("soak/%d", h.Seed), scfg)
+	f, err := newFaultGroup(fmt.Sprintf("soak/%d", h.Seed), h.Seed, h.Servers, h.Spares, h.Flags&trace.FlagOverload != 0, tierBudget)
 	if err != nil {
 		return nil, err
 	}
-	x.group = group
-	for i := 0; i < h.Spares; i++ {
-		if _, err := group.AddSpare(); err != nil {
-			x.close()
-			return nil, err
-		}
+	x := &soakExec{
+		faultGroup: f,
+		h:          h,
+		clients:    map[string]*staging.Client{},
+		history:    map[string][]trace.Event{},
+		covered:    map[string]int64{},
+		lastPut:    map[string]int64{},
 	}
 	// The death threshold must sit well above the longest recorded
-	// blackout (Churn bounds them under 60ms, soak blackouts use
+	// blackout (Draw bounds them under 60ms, soak blackouts use
 	// 20-60ms): declaring a blacked-out-but-alive server dead promotes
 	// a spare, and when the blackout lifts the deposed server and any
 	// client still bound to it share the same stale epoch — fencing
@@ -586,26 +547,20 @@ func newSoakExec(h trace.Header) (*soakExec, error) {
 	// state and silently lost. With these settings a dead verdict needs
 	// ~140ms of continuous silence: transient blackouts ride, real
 	// kills promote.
-	det := health.NewDetector(x.tr, "soak/sup", health.Config{
-		Period:       10 * time.Millisecond,
-		Timeout:      30 * time.Millisecond,
-		SuspectAfter: 4,
-		DeadAfter:    12,
-	})
-	x.sup = recovery.New(x.tr, det, group.Membership(), group, recovery.Config{
+	x.sup = recovery.New(x.tr, x.group, recovery.Config{
 		ID:       "soak/sup",
 		LeaseTTL: 150 * time.Millisecond,
-		OnPromote: func(slot int, addr string, epoch uint64) {
-			group.Pool.SetMember(slot, addr, epoch)
-		},
-		OnSlotDown: func(slot int, down bool) {
-			group.Pool.MarkSlotDown(slot, down)
+		Detector: health.Config{
+			Period:       10 * time.Millisecond,
+			Timeout:      30 * time.Millisecond,
+			SuspectAfter: 4,
+			DeadAfter:    12,
 		},
 	})
 	x.sup.Start()
-	// Dial every workload client now, while all slots are up:
-	// Group.NewClient connects to the full membership, so lazily
-	// creating a client mid-churn would race the promotion window.
+	// Dial every workload client now, while all slots are up: a client
+	// created mid-churn would leave a dead slot unbound and pay a retry
+	// whose count depends on promotion timing.
 	apps := []string{soakSweep()}
 	if h.Flags&trace.FlagOverload != 0 {
 		apps = append(apps, soakFloodApp())
@@ -626,12 +581,8 @@ func (x *soakExec) close() {
 	for _, c := range x.clients {
 		c.Close()
 	}
-	if x.sup != nil {
-		x.sup.Close()
-	}
-	if x.group != nil {
-		x.group.Close()
-	}
+	x.sup.Close()
+	x.group.Close()
 }
 
 func (x *soakExec) result() SoakResult {
@@ -820,17 +771,20 @@ func (x *soakExec) Apply(ev trace.Event) error {
 		return x.sup.WaitIdle(20 * time.Second)
 
 	case trace.EvBlackout:
-		addrs := x.group.Addrs()
-		slot := int(ev.Arg)
-		if slot < 0 || slot >= len(addrs) {
-			return fmt.Errorf("%w: blackout slot %d of %d", errSoakTerminal, slot, len(addrs))
+		if err := x.blackout(int(ev.Arg), time.Duration(ev.Arg2)*time.Millisecond); err != nil {
+			return fmt.Errorf("%w: %v", errSoakTerminal, err)
 		}
-		x.tr.Blackout(addrs[slot], time.Duration(ev.Arg2)*time.Millisecond)
 		x.res.Blackouts++
 		return nil
 
 	case trace.EvTierFault:
-		x.applyTierFault(ev)
+		// Arming is best-effort by design: if the target server died
+		// earlier in the schedule its backend is orphaned and the fault
+		// has no one to bite — deterministically so, since the schedule
+		// is fixed.
+		if x.tierFault(int(ev.Arg), failure.Kind(ev.Arg2), int(ev.Version), time.Duration(ev.Bytes)*time.Millisecond) {
+			x.res.TierFaults++
+		}
 		return nil
 
 	case trace.EvFlood:
@@ -877,46 +831,6 @@ func (x *soakExec) applyRestart(ev trace.Event) error {
 		}
 	}
 	return nil
-}
-
-// applyTierFault arms one storage fault against a server's cold-tier
-// backend. Arming is best-effort by design: if the target server died
-// earlier in the schedule its backend is orphaned and the fault has no
-// one to bite — deterministically so, since the schedule is fixed.
-func (x *soakExec) applyTierFault(ev trace.Event) {
-	x.tierMu.Lock()
-	be := x.tierBackends[int(ev.Arg)]
-	x.tierMu.Unlock()
-	if be == nil {
-		return
-	}
-	off := int(ev.Version)
-	switch failure.Kind(ev.Arg2) {
-	case failure.PFSTornWrite:
-		be.FailNextWriteAt(pfs.FaultTruncate, off)
-	case failure.PFSPartialWrite:
-		be.FailNextWriteAt(pfs.FaultPartial, off)
-	case failure.PFSENOSPC:
-		be.FailNextWriteAt(pfs.FaultENOSPC, -1)
-	case failure.PFSBitRot:
-		var g0 []string
-		for _, name := range be.List("tier/") {
-			if strings.HasSuffix(name, "/g0") {
-				g0 = append(g0, name)
-			}
-		}
-		if len(g0) == 0 {
-			return
-		}
-		if off < 0 {
-			off = 0
-		}
-		be.Corrupt(g0[off%len(g0)], off)
-	case failure.PFSSlowIO:
-		be.SetSlowIO(200 * time.Microsecond)
-		time.AfterFunc(time.Duration(ev.Bytes)*time.Millisecond, func() { be.SetSlowIO(0) })
-	}
-	x.res.TierFaults++
 }
 
 // applyFlood issues one burst of low-priority flood-tenant puts. The

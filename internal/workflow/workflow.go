@@ -442,25 +442,14 @@ func Run(opts Options) (Result, error) {
 			}
 		}
 		for i := 0; i < opts.Supervisors; i++ {
-			id := fmt.Sprintf("workflow/supervisor/%d", i)
-			det := health.NewDetector(tr, id, health.Config{
-				Period:       15 * time.Millisecond,
-				Timeout:      100 * time.Millisecond,
-				SuspectAfter: 2,
-				DeadAfter:    6,
-			})
-			sup := recovery.New(tr, det, group.Membership(), group, recovery.Config{
+			sup := recovery.New(tr, group, recovery.Config{
 				Redundancy: opts.Redundancy,
-				ID:         id,
-				OnPromote: func(slot int, addr string, epoch uint64) {
-					// Re-point the shared client pool so reconnecting ranks
-					// dial the promoted spare.
-					group.Pool.SetMember(slot, addr, epoch)
-				},
-				OnSlotDown: func(slot int, down bool) {
-					// While a dead slot has no spare to promote, clients
-					// fail fast with ErrSlotDown instead of timing out.
-					group.Pool.MarkSlotDown(slot, down)
+				ID:         fmt.Sprintf("workflow/supervisor/%d", i),
+				Detector: health.Config{
+					Period:       15 * time.Millisecond,
+					Timeout:      100 * time.Millisecond,
+					SuspectAfter: 2,
+					DeadAfter:    6,
 				},
 			})
 			sup.Start()
